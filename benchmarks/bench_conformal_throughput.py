@@ -8,7 +8,8 @@ pre-PR reference path appends scores one at a time into ``deque``s and
 re-sorts the full window on every offset query — O(window log window)
 per pool per recalibration. The batched engine keeps each pool's window
 sorted (``np.searchsorted`` + ``np.insert`` merges, FIFO eviction by
-arrival tag), so a recalibration is an order-statistic *gather*.
+arrival tag), so a recalibration is an order-statistic *gather*. The
+reference is ``reference_paths.DequeConformalizer``.
 
 Methodology: both paths consume the identical synthetic stream (seeded
 rng; a zero model so the conformal layer — not tower inference — is
@@ -28,6 +29,7 @@ from repro.conformal import OnlineConformalizer
 from repro.eval import format_table
 
 from conftest import emit
+from reference_paths import DequeConformalizer
 
 WINDOW = 16_384  # fleet-scale retained scores per pool
 BATCH = 512  # observations per lifecycle tick
@@ -77,12 +79,8 @@ def test_conformal_throughput(benchmark):
 
     rows, metrics = [], {}
     for mode in ("naive", "weighted"):
-        batched = OnlineConformalizer(
-            model, window=WINDOW, margin=mode, batched=True
-        )
-        scalar = OnlineConformalizer(
-            model, window=WINDOW, margin=mode, batched=False
-        )
+        batched = OnlineConformalizer(model, window=WINDOW, margin=mode)
+        scalar = DequeConformalizer(model, window=WINDOW, margin=mode)
         if mode == "naive":
             t_batched, off_batched = benchmark.pedantic(
                 lambda: _drive(batched, batches), rounds=1, iterations=1

@@ -4,8 +4,6 @@ Paper: mass concentrated near 1x with a long tail; more simultaneous
 workloads shift mass right; extremes reach ~20x.
 """
 
-import numpy as np
-
 from repro.analysis import slowdown_histograms
 from repro.eval import format_table
 

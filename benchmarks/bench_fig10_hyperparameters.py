@@ -6,8 +6,6 @@ enough, and β trades isolation error against interference error.
 Reported per interference degree, as in the figure's columns.
 """
 
-import numpy as np
-
 from repro.eval import format_table, mape, percent
 
 from conftest import emit

@@ -4,8 +4,6 @@ Paper: Pitot dominates at every split size; MF is far worse except
 without interference at large splits; all methods tighten with more data.
 """
 
-import numpy as np
-
 from repro.core import PAPER_QUANTILES
 from repro.eval import format_table, percent
 

@@ -5,9 +5,9 @@ scans every open platform, revalidating prospective co-residents. The
 historical implementation issued one single-row ``predict_bound`` call
 per scan row; the :class:`~repro.orchestration.BudgetOracle` stacks the
 whole scan into one vectorized batch through the serving layer. Both
-paths run the *same* planner code (the oracle's ``batched`` flag is the
-only difference) and produce identical assignments, so the measured gap
-is pure query-path overhead.
+paths run the *same* planner code (the scalar side wraps the service in
+``reference_paths.row_by_row_oracle``, one call per row) and produce
+identical assignments, so the measured gap is pure query-path overhead.
 
 The scalar loop is timed on a fixed job prefix and extrapolated (its
 per-decision cost is flat in the job index — early jobs see *empty*
@@ -28,6 +28,7 @@ from repro.orchestration import PlacementProblem, greedy_placement
 from repro.serving import PredictionService
 
 from conftest import emit
+from reference_paths import row_by_row_oracle
 
 EPSILON = 0.1
 #: (jobs, platforms) grid; the last entry is the acceptance fleet.
@@ -84,15 +85,13 @@ def test_placement_throughput(benchmark):
             )
             start = time.perf_counter()
             scalar_result = greedy_placement(
-                scalar_problem, scalar_problem.oracle(batched=False)
+                scalar_problem, row_by_row_oracle(service, EPSILON)
             )
             scalar_rate = SCALAR_JOBS / (time.perf_counter() - start)
 
             problem = _problem(service, n_jobs, n_platforms)
             start = time.perf_counter()
-            batched_result = greedy_placement(
-                problem, problem.oracle(batched=True)
-            )
+            batched_result = greedy_placement(problem, problem.oracle())
             batched_rate = n_jobs / (time.perf_counter() - start)
 
             # Decision parity on the shared prefix: the batched oracle
@@ -102,7 +101,7 @@ def test_placement_throughput(benchmark):
                 jobs=tuple(range(SCALAR_JOBS)),
             )
             assert (
-                greedy_placement(prefix, prefix.oracle(batched=True)).assignment
+                greedy_placement(prefix, prefix.oracle()).assignment
                 == scalar_result.assignment
             )
             assert len(batched_result.placed) == min(

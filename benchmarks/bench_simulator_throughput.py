@@ -3,11 +3,12 @@
 The event-driven ``ClusterSimulator`` historically paid Python dispatch
 per platform at every epoch boundary — one ``predict_bound`` round-trip
 per running job in the migration screen, one scalar world draw per
-probe, one comprehension over all platforms per arrival. The batched
-path (``batch_events=True``, the default) folds those into one oracle
-batch, one vectorized RNG draw, and an occupancy-array scan; the traces
-are identical (``tests/orchestration/test_batched_events.py``), so the
-only question is epochs/sec.
+probe, one comprehension over all platforms per arrival. The simulator
+now folds those into one oracle batch, one vectorized RNG draw, and an
+occupancy-array scan; ``reference_paths.ScalarEventSimulator`` replays
+the loops. The traces are identical
+(``tests/orchestration/test_batched_events.py``), so the only question
+is epochs/sec.
 
 The service here is a vectorized analytic stub: bound queries cost one
 fancy-index expression, so the measured gap isolates simulator dispatch
@@ -23,6 +24,7 @@ from repro.orchestration import ClusterSimulator, FleetWorld
 from repro.scenarios import SchedulingSpec
 
 from conftest import emit
+from reference_paths import ScalarEventSimulator
 
 #: (label, n_workloads, n_platforms, jobs_per_epoch) fleet presets.
 SCALES = [
@@ -65,7 +67,7 @@ def _make_world(n_workloads: int, n_platforms: int) -> FleetWorld:
 
 
 def _epochs_per_sec(
-    world: FleetWorld, jobs_per_epoch: int, batch_events: bool
+    world: FleetWorld, jobs_per_epoch: int, simulator=ClusterSimulator
 ) -> float:
     sched = SchedulingSpec(
         enabled=True,
@@ -76,13 +78,12 @@ def _epochs_per_sec(
         warmup_events=50,
         deadline_slack=(1.0, 1.8),
     )
-    sim = ClusterSimulator(
+    sim = simulator(
         world,
         _AnalyticService(world),
         sched,
         epsilon=0.1,
         seed=11,
-        batch_events=batch_events,
     )
     start = time.perf_counter()
     sim.run()
@@ -94,7 +95,7 @@ def test_simulator_throughput(benchmark):
     fleet = SCALES[-1]
     benchmark.pedantic(
         lambda: _epochs_per_sec(
-            _make_world(fleet[1], fleet[2]), fleet[3], batch_events=True
+            _make_world(fleet[1], fleet[2]), fleet[3]
         ),
         rounds=1,
         iterations=1,
@@ -102,9 +103,11 @@ def test_simulator_throughput(benchmark):
     rows, metrics = [], {}
     for label, n_workloads, n_platforms, jobs_per_epoch in SCALES:
         world = _make_world(n_workloads, n_platforms)
-        _epochs_per_sec(world, jobs_per_epoch, True)  # warmup
-        batched = _epochs_per_sec(world, jobs_per_epoch, True)
-        reference = _epochs_per_sec(world, jobs_per_epoch, False)
+        _epochs_per_sec(world, jobs_per_epoch)  # warmup
+        batched = _epochs_per_sec(world, jobs_per_epoch)
+        reference = _epochs_per_sec(
+            world, jobs_per_epoch, ScalarEventSimulator
+        )
         ratio = batched / reference
         rows.append([
             f"{label} ({n_platforms} platforms, "

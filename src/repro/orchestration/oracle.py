@@ -13,10 +13,10 @@ candidates in one vectorized ``predict_bound`` batch: a job's candidate
 scan (its own budget on every platform with spare capacity **plus** the
 revalidation rows of every prospective co-resident) becomes a single
 call, and the planners become consumers of the resulting score rows.
-``batched=False`` preserves the historical one-row-per-call loop as the
-reference path — decisions are identical by construction, which is what
-the planner-parity tests and the placement-throughput benchmark pin
-down.
+The historical one-row-per-call loop is a test oracle
+(``tests/reference_paths.py``) that the planner-parity tests and the
+placement-throughput benchmark compare against; decisions are identical
+by construction.
 """
 
 from __future__ import annotations
@@ -66,47 +66,29 @@ class BudgetOracle:
         test stub speaking the same protocol.
     epsilon:
         Miscoverage rate baked into every budget this oracle quotes.
-    batched:
-        ``True`` (default) stacks all rows of a scoring request into one
-        ``predict_bound`` call; ``False`` replays the historical one-row
-        loop (the reference path benchmarked against).
     """
 
-    def __init__(self, predictor, epsilon: float, batched: bool = True) -> None:
+    def __init__(self, predictor, epsilon: float) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         self.predictor = predictor
         self.epsilon = float(epsilon)
-        self.batched = bool(batched)
 
     # ------------------------------------------------------------------
     # The scoring primitive
     # ------------------------------------------------------------------
     def budgets(self, rows: list[_Row]) -> np.ndarray:
-        """ε-budgets (seconds) for a list of (workload, platform, co) rows.
-
-        One ``predict_bound`` batch when ``batched``; otherwise one call
-        per row (bit-identical outputs for row-independent predictors).
-        """
+        """ε-budgets (seconds) for a list of (workload, platform, co) rows,
+        scored in one ``predict_bound`` batch."""
         if not rows:
             return np.empty(0)
         interferers = pad_interferers([tuple(co)[:3] for _, _, co in rows])
         w = np.array([row[0] for row in rows], dtype=np.intp)
         p = np.array([row[1] for row in rows], dtype=np.intp)
-        if self.batched:
-            return np.asarray(
-                self.predictor.predict_bound(w, p, interferers, self.epsilon),
-                dtype=float,
-            )
-        out = np.empty(len(rows))
-        for i in range(len(rows)):
-            out[i] = float(
-                self.predictor.predict_bound(
-                    w[i : i + 1], p[i : i + 1], interferers[i : i + 1],
-                    self.epsilon,
-                )[0]
-            )
-        return out
+        return np.asarray(
+            self.predictor.predict_bound(w, p, interferers, self.epsilon),
+            dtype=float,
+        )
 
     def budget(self, workload: int, platform: int,
                co: tuple[int, ...] | list[int] = ()) -> float:
@@ -124,26 +106,14 @@ class BudgetOracle:
         The simulator's batched event path maintains padded co-resident
         matrices incrementally, so it skips the per-row tuple building
         and re-padding :meth:`budgets` performs. Same contract: one
-        ``predict_bound`` batch when ``batched``, else a per-row loop.
+        ``predict_bound`` batch.
         """
         if len(w_idx) == 0:
             return np.empty(0)
-        if self.batched:
-            return np.asarray(
-                self.predictor.predict_bound(
-                    w_idx, p_idx, interferers, self.epsilon
-                ),
-                dtype=float,
-            )
-        out = np.empty(len(w_idx))
-        for i in range(len(w_idx)):
-            out[i] = float(
-                self.predictor.predict_bound(
-                    w_idx[i : i + 1], p_idx[i : i + 1],
-                    interferers[i : i + 1], self.epsilon,
-                )[0]
-            )
-        return out
+        return np.asarray(
+            self.predictor.predict_bound(w_idx, p_idx, interferers, self.epsilon),
+            dtype=float,
+        )
 
     # ------------------------------------------------------------------
     # Feasibility-checked candidate scans

@@ -120,9 +120,9 @@ class PlacementProblem:
         covers both the jobs being placed and any occupied residents."""
         return self._deadline_of
 
-    def oracle(self, batched: bool = True) -> BudgetOracle:
+    def oracle(self) -> BudgetOracle:
         """A :class:`BudgetOracle` over this problem's predictor/ε."""
-        return BudgetOracle(self.predictor, self.epsilon, batched=batched)
+        return BudgetOracle(self.predictor, self.epsilon)
 
 
 @dataclass

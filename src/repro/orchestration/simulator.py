@@ -180,13 +180,6 @@ class FleetWorld:
         mean = self.w_base[w] + self.p_base[p] + self.degree_offsets[degree - 1]
         return np.exp(mean + self.sigma * z) * multiplier
 
-    def reference_runtime(self, workload: int) -> float:
-        """Deadline anchor: expected isolation runtime on a median platform."""
-        p_ref = float(np.median(self.p_base)) if self.n_platforms else 0.0
-        return float(
-            np.exp(self.w_base[workload] + p_ref + self.degree_offsets[0])
-        )
-
     def mean_runtime(self) -> float:
         """Expected slot-time per job (epoch sizing).
 
@@ -424,14 +417,14 @@ class ClusterSimulator:
         Completed jobs alone are a length-biased calibration sample —
         the probes restore the uncensored view. Required when
         ``probes_per_epoch > 0`` and a lifecycle is attached.
-    batch_events:
-        ``True`` (default) runs the batched epoch-event path: migration
-        screening quotes are scored in one :meth:`BudgetOracle.budgets`
-        batch across all co-resident platforms, probe draws use
-        :meth:`FleetWorld.sample_batch`, and the open-platform scan
-        reads an incrementally-maintained occupancy array. ``False``
-        replays the historical per-platform Python loops — the
-        reference the trace-parity tests compare against.
+
+    Epoch events are batched: migration screening quotes are scored in
+    one :meth:`BudgetOracle.budgets_arrays` batch across all co-resident
+    platforms, probe draws use :meth:`FleetWorld.sample_batch`, and the
+    open-platform scan reads an incrementally-maintained occupancy
+    array. The historical per-platform Python loops are a test oracle
+    (``tests/reference_paths.py``) the trace-parity tests compare
+    against.
     """
 
     def __init__(
@@ -447,7 +440,6 @@ class ClusterSimulator:
         update_steps: int = 100,
         reset_miscoverage: float | None = None,
         probe_source: RuntimeDataset | None = None,
-        batch_events: bool = True,
     ) -> None:
         if scheduling.policy not in SCHEDULER_POLICIES:
             raise ValueError(
@@ -481,9 +473,16 @@ class ClusterSimulator:
                 "probes_per_epoch > 0 needs a probe_source dataset"
             )
         self.seed = seed
-        self.batch_events = bool(batch_events)
         self.oracle = BudgetOracle(self.service, self.epsilon)
         self.epoch_seconds = self._epoch_seconds()
+        #: Per-workload deadline anchors: expected isolation runtime on
+        #: a median platform.
+        p_ref = float(np.median(world.p_base)) if world.n_platforms else 0.0
+        self._ref_runtimes = (
+            np.exp(world.w_base + p_ref + world.degree_offsets[0])
+            if world.n_workloads
+            else np.empty(0)
+        )
 
     # ------------------------------------------------------------------
     # Schedule generation
@@ -563,18 +562,6 @@ class ClusterSimulator:
         self._res_dl = np.full((self.world.n_platforms, MAX_RESIDENTS), np.inf)
         #: Per-workload scratch for the candidate scan's deadline map.
         self._dl_scratch = np.full(max(self.world.n_workloads, 1), np.inf)
-        #: Per-workload deadline anchors (the `reference_runtime` scalar
-        #: path recomputes a median per arrival; same floats).
-        p_ref = (
-            float(np.median(self.world.p_base))
-            if self.world.n_platforms
-            else 0.0
-        )
-        self._ref_runtimes = (
-            np.exp(self.world.w_base + p_ref + self.world.degree_offsets[0])
-            if self.world.n_workloads
-            else np.empty(0)
-        )
         self._jobs = {job.job_id: job for job in jobs}
         self._flow_queue: list[SimJob] = []
         self._pending_obs: list[tuple[int, int, tuple[int, ...], float]] = []
@@ -621,33 +608,15 @@ class ClusterSimulator:
             if j != skip
         ]
 
-    def _resident_deadlines(self, platform: int) -> dict[int, float]:
-        """Workload → deadline for revalidation (min on collisions)."""
-        out: dict[int, float] = {}
-        for job_id in self._residents[platform]:
-            job = self._jobs[job_id]
-            prev = out.get(job.workload)
-            if prev is None or job.deadline < prev:
-                out[job.workload] = job.deadline
-        return out
-
     def _on_arrival(self, t: float, job: SimJob, heap, seq: int) -> int:
         stats = self._stats[self._epoch_of(t)]
         stats.arrivals += 1
         if not self.world.n_workloads:
             job.deadline = job.slack
-        elif self.batch_events:
-            # Same floats as reference_runtime(): the anchor vector is
-            # precomputed once instead of re-deriving a median per job.
-            job.deadline = (
-                job.slack
-                * float(self._ref_runtimes[job.workload])
-                * self._multiplier_at(t)
-            )
         else:
             job.deadline = (
                 job.slack
-                * self.world.reference_runtime(job.workload)
+                * float(self._ref_runtimes[job.workload])
                 * self._multiplier_at(t)
             )
         self._result.events.append(
@@ -669,21 +638,11 @@ class ClusterSimulator:
                            epoch=self._epoch_of(t))
 
     def _open_platforms(self) -> list[int]:
-        """Platforms with spare capacity, ascending.
-
-        The batched path reads the occupancy array (one C-level
-        comparison); the reference path replays the historical
-        comprehension. Identical output by the ``_n_res`` invariant.
-        """
-        if self.batch_events:
-            return np.flatnonzero(
-                self._n_res < self.scheduling.max_residents
-            ).tolist()
-        return [
-            p
-            for p in range(self.world.n_platforms)
-            if len(self._residents[p]) < self.scheduling.max_residents
-        ]
+        """Platforms with spare capacity, ascending: one comparison over
+        the occupancy array."""
+        return np.flatnonzero(
+            self._n_res < self.scheduling.max_residents
+        ).tolist()
 
     def _decide(self, job: SimJob) -> int | None:
         """One placement decision under the active policy."""
@@ -713,32 +672,13 @@ class ClusterSimulator:
             candidates = [target]
         else:  # greedy
             candidates = open_platforms
-        if self.batch_events:
-            budgets, reval_ok = self._scan_candidates(job.workload, candidates)
-            feasible = (budgets <= job.deadline) & reval_ok
-            if not feasible.any():
-                return None
-            best = int(np.argmin(np.where(feasible, budgets, np.inf)))
-            job.quote = float(budgets[best])
-            return int(candidates[best])
-        residents = {p: self._co_workloads(p) for p in candidates}
-        deadlines: dict[int, float] = {}
-        for p in candidates:
-            for workload, deadline in self._resident_deadlines(p).items():
-                prev = deadlines.get(workload)
-                if prev is None or deadline < prev:
-                    deadlines[workload] = deadline
-        checks = self.oracle.check_candidates(
-            job.workload, job.deadline, candidates, residents, deadlines
-        )
-        best, best_budget = None, np.inf
-        for check in checks:
-            if check.feasible and check.budget < best_budget:
-                best, best_budget = check.platform, check.budget
-        if best is None:
+        budgets, reval_ok = self._scan_candidates(job.workload, candidates)
+        feasible = (budgets <= job.deadline) & reval_ok
+        if not feasible.any():
             return None
-        job.quote = float(best_budget)
-        return best
+        best = int(np.argmin(np.where(feasible, budgets, np.inf)))
+        job.quote = float(budgets[best])
+        return int(candidates[best])
 
     def _scan_candidates(
         self, workload: int, candidates: list[int]
@@ -748,8 +688,9 @@ class ClusterSimulator:
         Returns ``(budgets, reval_ok)``: the job's ε-budget on each
         candidate and whether every prospective co-resident's
         revalidated budget stays within its deadline (the global
-        per-workload minimum across the candidate set, exactly as the
-        reference path's merged ``deadlines`` dict). One
+        per-workload minimum across the candidate set, exactly as
+        :meth:`BudgetOracle.check_candidates`'s merged ``deadline_of``
+        map). One
         ``predict_bound`` batch; rows are sliced from the incremental
         slot matrices instead of rebuilt as tuples.
         """
@@ -919,10 +860,11 @@ class ClusterSimulator:
             }
             occupied_deadlines: dict[int, float] = {}
             for p in occupied:
-                for workload, deadline in self._resident_deadlines(p).items():
-                    prev = occupied_deadlines.get(workload)
-                    if prev is None or deadline < prev:
-                        occupied_deadlines[workload] = deadline
+                for job_id in self._residents[p]:
+                    resident = self._jobs[job_id]
+                    prev = occupied_deadlines.get(resident.workload)
+                    if prev is None or resident.deadline < prev:
+                        occupied_deadlines[resident.workload] = resident.deadline
             if self.world.n_platforms:
                 problem = PlacementProblem(
                     predictor=self.service,
@@ -966,58 +908,38 @@ class ClusterSimulator:
         the live budget on its platform. (The work fraction is
         observable in deployments via progress counters.)
 
-        When ``batch_events``, every running job's screening quote is
-        scored in **one** :meth:`BudgetOracle.budgets` batch across all
-        co-resident platforms — the fleet-wide screen the reference path
-        pays one ``predict_bound`` call per job for. Migrations are rare
-        relative to running jobs, so only jobs whose platform's resident
-        set changed mid-pass (an earlier job moved in or out) fall back
-        to a fresh single-row quote; every decision is identical to the
-        reference loop's.
+        Every running job's screening quote is scored in **one**
+        :meth:`BudgetOracle.budgets_arrays` batch across all co-resident
+        platforms. Migrations are rare relative to running jobs, so only
+        jobs whose platform's resident set changed mid-pass (an earlier
+        job moved in or out) fall back to a fresh single-row quote;
+        every decision is identical to quoting each job as the pass
+        reaches it.
         """
         stats = self._stats[epoch]
-        running = sorted(
-            job_id
-            for residents in self._residents.values()
-            for job_id in residents
+        at_risk = self._at_risk(t)
+        if not at_risk:
+            return seq
+        # One fleet-wide screening batch: each job among its current
+        # co-residents (own slot masked out of the platform row).
+        w_j = np.array([j.workload for j, _, _ in at_risk], dtype=np.intp)
+        p_j = np.array([j.platform for j, _, _ in at_risk], dtype=np.intp)
+        slots = np.array(
+            [
+                self._residents[j.platform].index(j.job_id)
+                for j, _, _ in at_risk
+            ],
+            dtype=np.intp,
         )
-        # Screen: (job, fraction, allowance) for every job with work
-        # left. Fraction/allowance are job-local, so hoisting them out
-        # of the migration loop changes nothing.
-        at_risk: list[tuple[SimJob, float, float]] = []
-        for job_id in running:
-            job = self._jobs[job_id]
-            remaining = job.completion - t
-            if remaining <= 0 or job.runtime_current <= 0:
-                continue
-            at_risk.append(
-                (
-                    job,
-                    remaining / job.runtime_current,
-                    job.deadline - (t - job.start),
-                )
-            )
-        if self.batch_events and at_risk:
-            # One fleet-wide screening batch: each job among its current
-            # co-residents (own slot masked out of the platform row).
-            w_j = np.array([j.workload for j, _, _ in at_risk], dtype=np.intp)
-            p_j = np.array([j.platform for j, _, _ in at_risk], dtype=np.intp)
-            slots = np.array(
-                [
-                    self._residents[j.platform].index(j.job_id)
-                    for j, _, _ in at_risk
-                ],
-                dtype=np.intp,
-            )
-            block = self._res_w[p_j]
-            keep = np.arange(MAX_RESIDENTS)[None, :] != slots[:, None]
-            co = block[keep].reshape(len(at_risk), MAX_RESIDENTS - 1)
-            quotes = self.oracle.budgets_arrays(w_j, p_j, co)
+        block = self._res_w[p_j]
+        keep = np.arange(MAX_RESIDENTS)[None, :] != slots[:, None]
+        co = block[keep].reshape(len(at_risk), MAX_RESIDENTS - 1)
+        quotes = self.oracle.budgets_arrays(w_j, p_j, co)
         #: Platforms whose resident set changed during this pass — their
         #: pre-batched quotes are stale and get re-scored one-off.
         dirty: set[int] = set()
         for i, (job, fraction, allowance) in enumerate(at_risk):
-            if self.batch_events and job.platform not in dirty:
+            if job.platform not in dirty:
                 quote_here = float(quotes[i])
             else:
                 quote_here = self.oracle.budget(
@@ -1031,6 +953,30 @@ class ClusterSimulator:
                 t, job, fraction, allowance, stats, heap, seq, dirty
             )
         return seq
+
+    def _at_risk(self, t: float) -> list[tuple[SimJob, float, float]]:
+        """``(job, fraction, allowance)`` for every running job with work
+        left, in job-id order. Fraction and allowance are job-local, so
+        computing them ahead of the migration loop changes nothing."""
+        running = sorted(
+            job_id
+            for residents in self._residents.values()
+            for job_id in residents
+        )
+        at_risk: list[tuple[SimJob, float, float]] = []
+        for job_id in running:
+            job = self._jobs[job_id]
+            remaining = job.completion - t
+            if remaining <= 0 or job.runtime_current <= 0:
+                continue
+            at_risk.append(
+                (
+                    job,
+                    remaining / job.runtime_current,
+                    job.deadline - (t - job.start),
+                )
+            )
+        return at_risk
 
     def _try_migrate(
         self,
@@ -1049,34 +995,12 @@ class ClusterSimulator:
         ]
         if not candidates:
             return seq
-        if self.batch_events:
-            budgets, reval_ok = self._scan_candidates(job.workload, candidates)
-            ok = reval_ok & (fraction * budgets <= allowance)
-            if not ok.any():
-                return seq
-            best_i = int(np.argmin(np.where(ok, budgets, np.inf)))
-            best = int(candidates[best_i])
-        else:
-            residents = {p: self._co_workloads(p) for p in candidates}
-            deadlines: dict[int, float] = {}
-            for p in candidates:
-                for workload, deadline in self._resident_deadlines(p).items():
-                    prev = deadlines.get(workload)
-                    if prev is None or deadline < prev:
-                        deadlines[workload] = deadline
-            checks = self.oracle.check_candidates(
-                job.workload, np.inf, candidates, residents, deadlines
-            )
-            best, best_budget = None, np.inf
-            for check in checks:
-                if (
-                    check.feasible
-                    and fraction * check.budget <= allowance
-                    and check.budget < best_budget
-                ):
-                    best, best_budget = check.platform, check.budget
-            if best is None:
-                return seq
+        budgets, reval_ok = self._scan_candidates(job.workload, candidates)
+        ok = reval_ok & (fraction * budgets <= allowance)
+        if not ok.any():
+            return seq
+        best_i = int(np.argmin(np.where(ok, budgets, np.inf)))
+        best = int(candidates[best_i])
         self._evict(job)
         source = job.platform
         co = self._co_workloads(best)
@@ -1136,28 +1060,13 @@ class ClusterSimulator:
                 0, source.n_observations, size=n_probes
             )
             degrees = interference_pools(source.interferers[rows], n_probes)
-            multiplier = self.multipliers[epoch]
-            if self.batch_events:
-                runtime = self.world.sample_batch(
-                    source.w_idx[rows],
-                    source.p_idx[rows],
-                    degrees - 1,
-                    multiplier,
-                    self._probe_rng,
-                )
-            else:
-                runtime = np.array(
-                    [
-                        self.world.sample(
-                            int(source.w_idx[r]),
-                            int(source.p_idx[r]),
-                            int(degrees[i] - 1),
-                            multiplier,
-                            self._probe_rng,
-                        )
-                        for i, r in enumerate(rows)
-                    ]
-                )
+            runtime = self.world.sample_batch(
+                source.w_idx[rows],
+                source.p_idx[rows],
+                degrees - 1,
+                self.multipliers[epoch],
+                self._probe_rng,
+            )
             self.lifecycle.ingest(
                 source.w_idx[rows],
                 source.p_idx[rows],

@@ -39,11 +39,13 @@ __all__ = [
 #: stale cached artifacts keyed under an old schema can never be loaded.
 #: v2: DriftSpec component + seeds.drift (the continual-learning axis).
 #: v3: SchedulingSpec component + seeds.schedule (the fleet-scheduler axis).
-#: v4: trainer engine knobs (dtype / fused_kernels / tape_cache /
-#: grad_workers) join TrainerConfig and therefore the spec hash.
+#: v4: trainer engine knobs (dtype, fused kernels, tape caching,
+#: gradient workers) join TrainerConfig and therefore the spec hash.
 #: v5: margin-engine knobs (margin / margin_tau / margin_bootstrap /
 #: margin_clip) join ConformalSpec and therefore the spec hash.
-SPEC_SCHEMA_VERSION = 5
+#: v6: the fused-kernel, tape-caching and gradient-worker switches are
+#: retired; each training operation has one production path.
+SPEC_SCHEMA_VERSION = 6
 
 #: Margin-estimator modes of the conformal engine. Deliberately a local
 #: copy of :data:`repro.conformal.margins.MARGIN_MODES` — the scenarios
@@ -516,9 +518,6 @@ _SCALED_FIELDS = {
     "max_eval_rows": "trainer",
     "sparse_embeddings": "trainer",
     "dtype": "trainer",
-    "fused_kernels": "trainer",
-    "tape_cache": "trainer",
-    "grad_workers": "trainer",
     "epsilons": "conformal",
     "strategy": "conformal",
     "use_pools": "conformal",

@@ -316,9 +316,11 @@ def drive_open_loop(
 
     The CI smoke path and ``repro bench-serve --open-loop``: submits
     each query at its scheduled instant (never waiting for earlier
-    completions — open loop), converts :class:`ShardBusy` into a delayed
-    re-offer, and drains completions between arrivals so latencies are
-    timestamped promptly.
+    completions — open loop) and converts :class:`ShardBusy` into a
+    delayed re-offer. Between arrivals it blocks on the oldest
+    outstanding ticket until the next arrival is due, so a completion
+    is timestamped when it lands rather than when the client next
+    wakes; it sleeps only when nothing is outstanding.
     """
     n = trace.n
     start = time.monotonic()
@@ -327,19 +329,22 @@ def drive_open_loop(
     ]
     heapq.heapify(pending)
     seq = n
-    tickets: dict[int, int] = {}  # ticket -> query index
+    tickets: dict[int, int] = {}  # ticket -> query index, oldest first
     latencies = np.full(n, np.nan)
     rejections = 0
     dropped = 0
     last_completion = 0.0
 
-    def drain() -> None:
+    def settle(response) -> None:
         nonlocal last_completion
         now = time.monotonic() - start
+        qi = tickets.pop(response.ticket)
+        latencies[qi] = now - float(trace.arrivals[qi])
+        last_completion = max(last_completion, now)
+
+    def drain() -> None:
         for response in service.gather_ready():
-            qi = tickets.pop(response.ticket)
-            latencies[qi] = now - float(trace.arrivals[qi])
-            last_completion = max(last_completion, now)
+            settle(response)
 
     while pending or tickets:
         drain()
@@ -366,17 +371,22 @@ def drive_open_loop(
             else:
                 tickets[ticket] = qi
             continue
-        if not pending and tickets:
-            if now > float(trace.arrivals[-1]) + settle_timeout:
+        if pending:
+            wait = pending[0][0] - now
+        else:
+            wait = float(trace.arrivals[-1]) + settle_timeout - now
+            if wait <= 0:
                 raise TimeoutError(
                     f"{len(tickets)} queries unresolved "
                     f"{settle_timeout}s past the last arrival"
                 )
-        sleep_for = 0.0005
-        if pending:
-            sleep_for = min(max(pending[0][0] - now, 0.0), 0.01)
-        if sleep_for:
-            time.sleep(sleep_for)
+        if not tickets:
+            time.sleep(wait)  # nothing in flight to wait on
+            continue
+        try:
+            settle(service.gather(next(iter(tickets)), timeout=wait))
+        except TimeoutError:
+            continue
 
     drain()
     completed = int(np.count_nonzero(~np.isnan(latencies)))

@@ -36,9 +36,7 @@ stress test asserts equal.
 
 Start method: workers use ``spawn`` by default — nothing here relies on
 fork inheritance (the layout, choices, and config all pickle), and
-spawn is the only portable choice. This is the opposite trade from
-:class:`~repro.core.parallel.GradientWorkerPool`, which requires fork
-to inherit anonymous parameter mappings.
+spawn is the only portable choice.
 """
 
 from __future__ import annotations
@@ -316,29 +314,6 @@ class ShardedPredictionService:
         self._published = 1
         self._reclaim_log: list[tuple[int, int]] = []  # (generation, acks)
 
-        ctx = multiprocessing.get_context(start_method)
-        self._tasks = [ctx.Queue() for _ in range(n_shards)]
-        self._responses = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=_shard_main,
-                args=(
-                    shard,
-                    shared.layout,
-                    choices,
-                    use_pools,
-                    cache_size,
-                    max_batch,
-                    self._tasks[shard],
-                    self._responses,
-                ),
-                daemon=True,
-            )
-            for shard in range(n_shards)
-        ]
-        for proc in self._procs:
-            proc.start()
-
         # Demux state: the response queue carries results, swap acks and
         # stats replies interleaved (a swap can land while queries are in
         # flight), so one lock-guarded drain routes each message to its
@@ -357,13 +332,67 @@ class ShardedPredictionService:
         self._latency_ewma: float | None = None
         self._closed = False
 
-        self._await(lambda: len(self._ready) == n_shards)
+        self._tasks = []
+        self._responses = None
+        self._procs = []
+        try:
+            ctx = multiprocessing.get_context(start_method)
+            self._tasks = [ctx.Queue() for _ in range(n_shards)]
+            self._responses = ctx.Queue()
+            for shard in range(n_shards):
+                proc = ctx.Process(
+                    target=_shard_main,
+                    args=(
+                        shard,
+                        shared.layout,
+                        choices,
+                        use_pools,
+                        cache_size,
+                        max_batch,
+                        self._tasks[shard],
+                        self._responses,
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+                self._procs.append(proc)
+            self._await(self._all_ready)
+        except BaseException:
+            self._abort_startup(shared)
+            raise
         self._state = RouterState(
             shared=shared,
             choices=choices,
             use_pools=use_pools,
             generation=0,
         )
+
+    def _all_ready(self) -> bool:
+        """Start-up barrier: every shard attached; raises as soon as a
+        worker has exited instead of waiting out the deadline."""
+        with self._lock:
+            if len(self._ready) == self.n_shards:
+                return True
+        for shard, proc in enumerate(self._procs):
+            if proc.exitcode is not None:
+                raise RuntimeError(
+                    f"shard {shard} exited during start-up "
+                    f"(exit code {proc.exitcode})"
+                )
+        return False
+
+    def _abort_startup(self, shared: SharedSnapshot) -> None:
+        """Undo a failed start-up: terminate and join every started
+        worker, close the queues and reclaim the published segment."""
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=10)
+        for tasks in self._tasks:
+            tasks.close()
+        if self._responses is not None:
+            self._responses.close()
+        shared.reclaim()
 
     # ------------------------------------------------------------------
     # Construction

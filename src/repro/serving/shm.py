@@ -8,10 +8,10 @@ worker would multiply resident memory by N and make every swap pay N
 serializations. This module places the snapshot arrays in **one** named
 ``multiprocessing.shared_memory`` block instead:
 
-* :meth:`SharedSnapshot.publish` packs the arrays (via the same
-  :class:`~repro.core.parallel.BlockLayout` discipline the gradient pool
-  uses for its ``RawArray`` parameter block) after a 16-byte header
-  carrying a magic word and the serving **generation tag**;
+* :meth:`SharedSnapshot.publish` packs the arrays (placed by a
+  :class:`BlockLayout`: aligned offset, shape and dtype per array) after
+  a 16-byte header carrying a magic word and the serving **generation
+  tag**;
 * :func:`attach_snapshot` rebuilds a read-only, zero-copy
   :class:`EmbeddingSnapshot` in any process from the picklable
   :class:`SnapshotLayout` — the only thing that crosses the pipe;
@@ -39,14 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
+from typing import Any
 
 import numpy as np
 
 from ..core.config import PitotConfig
 from ..core.model import EmbeddingSnapshot
-from ..core.parallel import BlockLayout
 
 __all__ = [
+    "ArraySpec",
+    "BlockLayout",
     "SharedSnapshot",
     "SnapshotLayout",
     "attach_snapshot",
@@ -61,6 +63,84 @@ _MAGIC = 0x50_49_54_4F_54_31  # "PITOT1"
 
 #: EmbeddingSnapshot array fields in packing order; None fields skipped.
 _FIELDS = ("W", "P", "VS", "VG", "baseline_w", "baseline_p")
+
+#: Byte alignment for every array placed in a shared block. 16 covers
+#: the widest dtype NumPy vectorizes over (complex128) and keeps SIMD
+#: loads aligned regardless of the preceding array's size.
+_ALIGN = 16
+
+
+def _aligned(offset: int) -> int:
+    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+@dataclass(frozen=True)
+class ArraySpec:
+    """Placement of one ndarray inside a flat byte buffer."""
+
+    shape: tuple[int, ...]
+    dtype: str  #: dtype string (picklable; ``np.dtype(spec.dtype)`` rebuilds)
+    offset: int  #: byte offset of the first element
+
+    @property
+    def nbytes(self) -> int:
+        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Offsets/shapes/dtypes of a family of arrays in one shared buffer.
+
+    Built once on the publishing side from live arrays, shipped (pickled)
+    to attaching processes, which rebuild zero-copy views with
+    :meth:`views`. The layout is pure bookkeeping — it never holds array
+    data, so sending it over a pipe costs bytes, not megabytes.
+    """
+
+    specs: tuple[ArraySpec, ...]
+    nbytes: int  #: total buffer size (aligned) the specs assume
+
+    @classmethod
+    def from_arrays(cls, arrays: "list[np.ndarray]") -> "BlockLayout":
+        specs = []
+        offset = 0
+        for arr in arrays:
+            offset = _aligned(offset)
+            spec = ArraySpec(
+                shape=tuple(arr.shape), dtype=arr.dtype.str, offset=offset
+            )
+            specs.append(spec)
+            offset += spec.nbytes
+        return cls(specs=tuple(specs), nbytes=_aligned(offset))
+
+    def view(self, buffer: Any, index: int, writeable: bool = True) -> np.ndarray:
+        """Zero-copy ndarray over ``buffer`` for spec ``index``."""
+        spec = self.specs[index]
+        out = np.frombuffer(
+            buffer,
+            dtype=np.dtype(spec.dtype),
+            count=int(np.prod(spec.shape, dtype=np.int64)),
+            offset=spec.offset,
+        ).reshape(spec.shape)
+        if not writeable:
+            out.flags.writeable = False
+        return out
+
+    def views(self, buffer: Any, writeable: bool = True) -> list[np.ndarray]:
+        """Zero-copy views for every spec, in declaration order."""
+        return [
+            self.view(buffer, i, writeable=writeable)
+            for i in range(len(self.specs))
+        ]
+
+    def pack(self, buffer: Any, arrays: "list[np.ndarray]") -> None:
+        """Copy ``arrays`` into ``buffer`` at their placed offsets."""
+        if len(arrays) != len(self.specs):
+            raise ValueError(
+                f"layout holds {len(self.specs)} array(s), got {len(arrays)}"
+            )
+        for view, arr in zip(self.views(buffer), arrays):
+            np.copyto(view, arr)
 
 
 def _header_view(buf) -> np.ndarray:

@@ -1,7 +1,5 @@
 """make_cluster subsampling and index consistency."""
 
-import numpy as np
-
 from repro.cluster import make_cluster
 
 

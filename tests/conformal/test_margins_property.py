@@ -10,12 +10,12 @@ Four contracts, each over arbitrary generated calibration sets:
   permutation (the resample seed derives from pool *content*);
 * the online conformalizer's incremental sorted windows match a
   from-scratch re-sort of the retained scores after any ingest/evict
-  pattern — and its batched path matches the scalar reference offset-
-  for-offset in every mode.
+  pattern — and it matches the scalar ``deque`` reference
+  (``reference_paths.DequeConformalizer``) offset-for-offset in every
+  mode.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,8 @@ from repro.conformal import (
     OnlineConformalizer,
     margin_offsets_by_pool,
 )
+
+from reference_paths import DequeConformalizer
 
 finite_scores = st.lists(
     st.floats(-50, 50, allow_nan=False, allow_infinity=False),
@@ -110,12 +112,8 @@ def test_property_incremental_state_matches_from_scratch(
     batched offsets equal the scalar reference's in every mode."""
     rng = np.random.default_rng(seed)
     margin = MarginParams(mode=mode, tau=25.0, n_bootstrap=16)
-    fast = OnlineConformalizer(
-        _ZeroModel(), window=window, margin=margin, batched=True
-    )
-    slow = OnlineConformalizer(
-        _ZeroModel(), window=window, margin=margin, batched=False
-    )
+    fast = OnlineConformalizer(_ZeroModel(), window=window, margin=margin)
+    slow = DequeConformalizer(_ZeroModel(), window=window, margin=margin)
     fed: dict[int, list[float]] = {1: [], 2: []}
     for n in batches:
         n_iso = int(rng.integers(0, n + 1))

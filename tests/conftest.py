@@ -2,9 +2,16 @@
 
 Session-scoped so the expensive artifacts (dataset collection, model
 training) are built once and shared; tests must not mutate them.
+
+The session also audits process hygiene: it fails if a
+``multiprocessing`` child is still alive at the end, or if a ``psm_*``
+shared-memory segment it created is still in ``/dev/shm``.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +27,43 @@ from repro.scenarios import get_scenario
 
 #: Small-but-structured architecture used by most training-dependent tests.
 TINY_MODEL = dict(hidden=(32,), embedding_dim=8, learned_features=1)
+
+#: Where POSIX shared-memory segments appear (Linux); the segment audit
+#: is skipped on hosts without it.
+SHM_DIR = Path("/dev/shm")
+_SEGMENTS_AT_START = pytest.StashKey[set]()
+
+
+def _psm_segments() -> set[str]:
+    if not SHM_DIR.is_dir():
+        return set()
+    return {path.name for path in SHM_DIR.glob("psm_*")}
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_SEGMENTS_AT_START] = _psm_segments()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if it leaves a worker process or a segment behind."""
+    leaks = [
+        f"multiprocessing child still alive: {child.name} (pid {child.pid})"
+        for child in multiprocessing.active_children()
+    ]
+    leaks += [
+        f"shared-memory segment left in {SHM_DIR}: {name}"
+        for name in sorted(
+            _psm_segments() - session.config.stash[_SEGMENTS_AT_START]
+        )
+    ]
+    if not leaks:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line("")
+        for leak in leaks:
+            reporter.write_line(f"hygiene guard: {leak}", red=True)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(scope="session")

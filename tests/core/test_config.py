@@ -56,3 +56,18 @@ class TestTrainerConfig:
         assert cfg.batch_per_degree == 512   # 2048 across 4 degrees
         assert cfg.learning_rate == 1e-3
         assert cfg.eval_every == 200
+
+    @pytest.mark.parametrize("field", ["eval_every", "batch_per_degree"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_step_sizes_raise(self, field, value):
+        # Both divide inside fit(); a zero used to pass construction and
+        # die mid-fit with ZeroDivisionError.
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["eval_every", "batch_per_degree"])
+    def test_scaled_spec_rejects_non_positive_step_sizes(self, field):
+        from repro.scenarios import get_scenario
+
+        with pytest.raises(ValueError, match=field):
+            get_scenario("smoke").scaled(**{field: 0})

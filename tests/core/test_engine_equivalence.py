@@ -1,10 +1,12 @@
 """Engine equivalence: fused / tape-replay paths vs the primitive reference.
 
-``TrainerConfig(fused_kernels=False, tape_cache=False)`` rebuilds the
-pre-engine primitive autograd graph every step. The fused arena kernels
-and the recorded-tape replay path must be **bitwise** identical to it in
-float64 — not approximately equal: same train-loss history, same
-validation history, same checkpoint selection, same final parameters.
+``reference_paths.PrimitiveTrainer`` rebuilds the pre-engine primitive
+autograd graph every step. The fused arena kernels without replay
+(``reference_paths.UntapedTrainer``: the production step after a tape
+bail-out) and the recorded-tape replay path must be **bitwise**
+identical to it in float64 — not approximately equal: same train-loss
+history, same validation history, same checkpoint selection, same final
+parameters.
 These tests pin that contract over full seeded fits across both
 objectives and all three sparse modes, plus the warm-update path.
 
@@ -21,7 +23,6 @@ from repro.core import (
     PitotModel,
     PitotTrainer,
     TrainerConfig,
-    train_pitot,
 )
 from repro.core.trainer import (
     SPARSE_AUTO_FRACTION,
@@ -30,17 +31,20 @@ from repro.core.trainer import (
     choose_sparse,
 )
 
+from reference_paths import PrimitiveTrainer, UntapedTrainer, train_with
+
 TINY = dict(hidden=(32,), embedding_dim=8, learned_features=1)
 
-REFERENCE = dict(fused_kernels=False, tape_cache=False)
-FUSED = dict(fused_kernels=True, tape_cache=False)
-TAPED = dict(fused_kernels=True, tape_cache=True)
+REFERENCE = PrimitiveTrainer
+FUSED = UntapedTrainer
+TAPED = PitotTrainer
 
 
-def _fit(split, *, quantile=False, steps=30, **overrides):
+def _fit(split, *, quantile=False, steps=30, engine=TAPED, **overrides):
     cfg = dict(steps=steps, eval_every=10, batch_per_degree=64, seed=2)
     cfg.update(overrides)
-    return train_pitot(
+    return train_with(
+        engine,
         split.train,
         split.calibration,
         model_config=PitotConfig(
@@ -61,10 +65,10 @@ class TestBitwiseParity:
                              ids=["squared", "pinball"])
     def test_engines_match_reference(self, mini_split, quantile, sparse):
         ref = _fit(mini_split, quantile=quantile,
-                   sparse_embeddings=sparse, **REFERENCE)
+                   sparse_embeddings=sparse, engine=REFERENCE)
         for engine in (FUSED, TAPED):
             out = _fit(mini_split, quantile=quantile,
-                       sparse_embeddings=sparse, **engine)
+                       sparse_embeddings=sparse, engine=engine)
             assert out.train_loss_history == ref.train_loss_history
             assert out.val_loss_history == ref.val_loss_history
             assert out.best_step == ref.best_step
@@ -76,9 +80,9 @@ class TestBitwiseParity:
         # stream-sized batches — shapes the fit path never sees.
         histories = []
         for engine in (REFERENCE, TAPED):
-            trainer = PitotTrainer(
+            trainer = engine(
                 trained_pitot.model.clone(),
-                TrainerConfig(batch_per_degree=48, seed=7, **engine),
+                TrainerConfig(batch_per_degree=48, seed=7),
             )
             histories.append(
                 trainer.update(mini_split.calibration, steps=12, rng=5)
@@ -101,7 +105,7 @@ class TestTapeCache:
                           seed=1, sparse_embeddings=False),
         )
         trainer.fit(mini_split.train)
-        stats = trainer._tape_cache.stats()
+        stats = trainer._tapes.stats()
         # Dense shapes repeat every step: record once, replay the rest.
         assert stats["misses"] >= 1
         assert stats["hits"] >= 10
@@ -138,7 +142,7 @@ class TestTapeCache:
                 np.ones(n),
             )
         assert trainer._tape_disabled
-        stats = trainer._tape_cache.stats()
+        stats = trainer._tapes.stats()
         # The streak stops exactly at the threshold (later steps bypass
         # the cache entirely) and bail-out releases every program.
         assert stats["misses"] == TAPE_BAILOUT_MISSES
@@ -147,7 +151,7 @@ class TestTapeCache:
         # A fresh fit gets a stable dense regime: taping comes back.
         trainer.fit(train)
         assert not trainer._tape_disabled
-        assert trainer._tape_cache.stats()["hits"] >= 10
+        assert trainer._tapes.stats()["hits"] >= 10
 
 
 class TestDtype:
@@ -172,10 +176,6 @@ class TestDtype:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dtype"):
             TrainerConfig(dtype="float16")
-        with pytest.raises(ValueError, match="tape_cache"):
-            TrainerConfig(fused_kernels=False, tape_cache=True)
-        with pytest.raises(ValueError, match="grad_workers"):
-            TrainerConfig(grad_workers=-1)
 
 
 class TestChooseSparse:

@@ -557,53 +557,19 @@ def test_rpr007_passes_inside_no_grad_and_off_path(lint_tree):
     assert result.violations == []
 
 
-def test_rpr007_worker_module_is_in_scope(lint_tree):
-    # core/ is generally off-path for RPR007, but the worker-pool module
-    # is explicitly scoped in: its one grad-building call is sanctioned
-    # via suppression, so any NEW tape entry point there must be flagged.
-    flagging = textwrap.dedent(
-        """
-        def worker_loop(trainer, conn):
-            while True:
-                chunk = conn.recv()
-                loss = trainer._batch_loss_backward(*chunk)
-                conn.send(loss)
-        """
-    )
-    result = lint_tree({"core/parallel.py": flagging}, select=["RPR007"])
-    assert codes(result) == ["RPR007"]
-    assert "_batch_loss_backward" in result.violations[0].message
-
-
-def test_rpr007_worker_module_sanctioned_suppression_passes(lint_tree):
-    source = textwrap.dedent(
-        """
-        def worker_loop(trainer, conn):
-            while True:
-                chunk = conn.recv()
-                loss = trainer._batch_loss_backward(  # repro-lint: disable=RPR007
-                    *chunk
-                )
-                conn.send(loss)
-        """
-    )
-    result = lint_tree({"core/parallel.py": source}, select=["RPR007"])
-    assert result.violations == []
-
-
 def test_rpr001_flags_unseeded_rng_in_worker_module(lint_tree):
-    # Workers must inherit batch sampling from the master's seeded
-    # stream; a fresh OS-entropy generator in the pool would silently
-    # break run-to-run determinism.
+    # Sweep workers run the train stage from the spec's seed streams; a
+    # fresh OS-entropy generator in a worker task would silently break
+    # run-to-run determinism.
     source = textwrap.dedent(
         """
         import numpy as np
 
 
-        def worker_loop(conn):
+        def _run_task(store_root, spec, stage):
             rng = np.random.default_rng()
             return rng.normal()
         """
     )
-    result = lint_tree({"core/parallel.py": source}, select=["RPR001"])
+    result = lint_tree({"sweep/runner.py": source}, select=["RPR001"])
     assert codes(result) == ["RPR001"]

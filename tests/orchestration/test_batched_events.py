@@ -1,10 +1,12 @@
 """Batched epoch-event path vs the reference per-platform loops.
 
-``ClusterSimulator(batch_events=True)`` replaces three Python loops —
-per-job migration screening quotes, per-row probe world draws, and the
-per-arrival open-platform scan — with one oracle batch, one vectorized
-RNG draw, and an occupancy-array comparison. Every test here pins the
-same contract: **identical traces**, not approximately-equal metrics.
+``ClusterSimulator`` batches what used to be Python loops — per-job
+migration screening quotes, per-row probe world draws, per-candidate
+scan tuples, and the per-arrival open-platform scan — into oracle
+batches, one vectorized RNG draw, and an occupancy-array comparison.
+``reference_paths.ScalarEventSimulator`` replays the loops. Every test
+here pins the same contract: **identical traces**, not
+approximately-equal metrics.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from repro.orchestration import ClusterSimulator, FleetWorld
 from repro.orchestration.simulator import world_calibration_window
 from repro.scenarios import SCHEDULER_POLICIES, SchedulingSpec
+
+from reference_paths import ScalarEventSimulator
 
 
 class _StubService:
@@ -54,10 +58,9 @@ def _sched(**overrides) -> SchedulingSpec:
     return SchedulingSpec(**defaults)
 
 
-def _run(world, sched, *, batch_events: bool, seed=11, **kwargs):
-    return ClusterSimulator(
-        world, _StubService(world), sched, epsilon=0.1, seed=seed,
-        batch_events=batch_events, **kwargs,
+def _run(simulator, world, sched, *, seed=11, **kwargs):
+    return simulator(
+        world, _StubService(world), sched, epsilon=0.1, seed=seed, **kwargs,
     ).run()
 
 
@@ -117,8 +120,8 @@ class TestTraceParity:
     def test_every_policy_identical_trace(self, policy):
         world = _world()
         sched = _sched(policy=policy, jobs_per_epoch=15)
-        ref = _run(world, sched, batch_events=False)
-        fast = _run(world, sched, batch_events=True)
+        ref = _run(ScalarEventSimulator, world, sched)
+        fast = _run(ClusterSimulator, world, sched)
         assert ref.events == fast.events
         assert _comparable_epochs(ref) == _comparable_epochs(fast)
         assert [vars(j) for j in ref.jobs] == [vars(j) for j in fast.jobs]
@@ -132,9 +135,9 @@ class TestTraceParity:
             jobs_per_epoch=25, epochs=5, deadline_slack=(1.0, 1.6),
         )
         multipliers = [1.0, 1.2, 1.5, 1.9, 2.4]
-        ref = _run(world, sched, batch_events=False,
+        ref = _run(ScalarEventSimulator, world, sched,
                    multipliers=multipliers)
-        fast = _run(world, sched, batch_events=True,
+        fast = _run(ClusterSimulator, world, sched,
                     multipliers=multipliers)
         assert sum(e.migrations for e in ref.epochs) > 0
         assert ref.events == fast.events
@@ -158,13 +161,10 @@ class TestTraceParity:
         world = FleetWorld.from_dataset(mini_dataset)
         sched = _sched(jobs_per_epoch=12, epochs=3)
 
-        def run(batch_events):
-            return ClusterSimulator(
-                world, service, sched, epsilon=0.1, seed=7,
-                batch_events=batch_events,
-            ).run()
+        def run(simulator):
+            return simulator(world, service, sched, epsilon=0.1, seed=7).run()
 
-        ref, fast = run(False), run(True)
+        ref, fast = run(ScalarEventSimulator), run(ClusterSimulator)
         assert ref.events == fast.events
         assert [j.quote for j in ref.jobs] == [j.quote for j in fast.jobs]
 
@@ -172,7 +172,6 @@ class TestTraceParity:
         world = _world()
         sim = ClusterSimulator(
             world, _StubService(world), _sched(), epsilon=0.1, seed=3,
-            batch_events=True,
         )
         sim.run()
         assert np.array_equal(

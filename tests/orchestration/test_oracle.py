@@ -11,6 +11,8 @@ from repro.orchestration import (
     greedy_placement,
 )
 
+from reference_paths import row_by_row_oracle
+
 
 class _StubBounds:
     """Analytic budgets: base[w] * plat_factor[p] * (1 + 0.5 * n_co).
@@ -60,17 +62,17 @@ class TestBudgets:
     def test_batched_equals_scalar(self):
         stub = _StubBounds([1.0, 2.0, 3.0], [1.0, 0.5])
         rows = [(0, 0, ()), (1, 1, (0,)), (2, 0, (0, 1)), (1, 0, (0, 1, 2))]
-        batched = BudgetOracle(stub, 0.1, batched=True).budgets(rows)
-        scalar = BudgetOracle(stub, 0.1, batched=False).budgets(rows)
+        batched = BudgetOracle(stub, 0.1).budgets(rows)
+        scalar = row_by_row_oracle(stub, 0.1).budgets(rows)
         np.testing.assert_array_equal(batched, scalar)
 
     def test_batched_issues_one_call(self):
         stub = _StubBounds([1.0, 2.0], [1.0])
         rows = [(0, 0, ()), (1, 0, (0,)), (0, 0, (1,))]
-        BudgetOracle(stub, 0.1, batched=True).budgets(rows)
+        BudgetOracle(stub, 0.1).budgets(rows)
         assert stub.calls == 1
         stub.calls = 0
-        BudgetOracle(stub, 0.1, batched=False).budgets(rows)
+        row_by_row_oracle(stub, 0.1).budgets(rows)
         assert stub.calls == len(rows)
 
     def test_positional_revalidation_rows(self):
@@ -110,8 +112,10 @@ class TestPlannerParity:
     @pytest.mark.parametrize("seed", range(6))
     def test_greedy_assignments_identical(self, seed):
         problem = _random_problem(np.random.default_rng(seed))
-        batched = greedy_placement(problem, problem.oracle(batched=True))
-        scalar = greedy_placement(problem, problem.oracle(batched=False))
+        batched = greedy_placement(problem, problem.oracle())
+        scalar = greedy_placement(
+            problem, row_by_row_oracle(problem.predictor, problem.epsilon)
+        )
         assert batched.assignment == scalar.assignment
         assert batched.budgets == scalar.budgets
 
@@ -121,8 +125,10 @@ class TestPlannerParity:
         # rescue actually runs.
         rng = np.random.default_rng(100 + seed)
         problem = _random_problem(rng, n_jobs=14, n_platforms=3)
-        batched = flow_placement(problem, problem.oracle(batched=True))
-        scalar = flow_placement(problem, problem.oracle(batched=False))
+        batched = flow_placement(problem, problem.oracle())
+        scalar = flow_placement(
+            problem, row_by_row_oracle(problem.predictor, problem.epsilon)
+        )
         assert batched.assignment == scalar.assignment
 
     def test_parity_on_real_service(self, trained_pitot_quantile, mini_split,
@@ -151,8 +157,10 @@ class TestPlannerParity:
             platforms=tuple(range(min(6, mini_dataset.n_platforms))),
             epsilon=0.1,
         )
-        batched = flow_placement(problem, problem.oracle(batched=True))
-        scalar = flow_placement(problem, problem.oracle(batched=False))
+        batched = flow_placement(problem, problem.oracle())
+        scalar = flow_placement(
+            problem, row_by_row_oracle(problem.predictor, problem.epsilon)
+        )
         assert batched.assignment == scalar.assignment
 
 

@@ -12,6 +12,8 @@ from repro.orchestration import (
 from repro.orchestration.simulator import _steady_epochs
 from repro.scenarios import SCHEDULER_POLICIES, DriftSpec, SchedulingSpec
 
+from reference_paths import reference_runtime
+
 
 class _StubService:
     """Analytic bounds matching a noise-free world's structure."""
@@ -70,7 +72,7 @@ class TestFleetWorld:
 
     def test_reference_and_mean_positive(self):
         world = _world()
-        assert world.reference_runtime(0) > 0
+        assert reference_runtime(world, 0) > 0
         assert world.mean_runtime() > 0
 
 

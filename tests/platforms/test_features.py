@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.platforms import (
-    DEVICES,
     MICROARCHITECTURES,
     RUNTIMES,
     generate_platforms,

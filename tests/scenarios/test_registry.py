@@ -104,6 +104,13 @@ class TestSpecDerivation:
         with pytest.raises(ValueError, match="unknown scenario knob"):
             get_scenario("paper").scaled(warp_factor=9)
 
+    @pytest.mark.parametrize(
+        "knob", ["grad_workers", "fused_kernels", "tape_cache"]
+    )
+    def test_retired_engine_knobs_are_unknown(self, knob):
+        with pytest.raises(ValueError, match="unknown scenario knob"):
+            get_scenario("paper").scaled(**{knob: 2})
+
     def test_with_seeds_partial_update(self):
         spec = get_scenario("paper").with_seeds(split=7)
         assert spec.seeds.split == 7

@@ -1,15 +1,19 @@
 """Open-loop load shapes and the virtual-time queueing replay."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.serving.loadgen import (
     OpenLoopConfig,
     QueryTrace,
+    drive_open_loop,
     generate_trace,
     simulate_open_loop,
     zipf_weights,
 )
+from repro.serving.sharded import ShardResponse
 
 
 class TestZipfWeights:
@@ -158,13 +162,58 @@ class TestSimulateOpenLoop:
         assert sorted(result.latencies) == [1.0, 2.0]
 
 
+class _FixedDelayService:
+    """In-process stand-in for the sharded service: every ticket
+    completes ``delay`` seconds after its submit."""
+
+    n_shards = 1
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self.ready_at: dict[int, float] = {}
+        self.next_ticket = 0
+
+    def submit(self, workload, platform, interferers, epsilon):
+        ticket = self.next_ticket
+        self.next_ticket += 1
+        self.ready_at[ticket] = time.monotonic() + self.delay
+        return ticket
+
+    def _answer(self, ticket):
+        del self.ready_at[ticket]
+        return ShardResponse(
+            ticket=ticket, shard=0, bound=1.0, generation=0,
+            header_generation=0,
+        )
+
+    def gather(self, ticket, timeout=60.0):
+        wait = self.ready_at[ticket] - time.monotonic()
+        if wait > timeout:
+            time.sleep(max(timeout, 0.0))
+            raise TimeoutError("ticket not ready")
+        time.sleep(max(wait, 0.0))
+        return self._answer(ticket)
+
+    def gather_ready(self):
+        now = time.monotonic()
+        done = [t for t, at in self.ready_at.items() if at <= now]
+        return [self._answer(t) for t in done]
+
+
 class TestDriveOpenLoop:
+    def test_latency_not_floored_at_arrival_gap(self):
+        """A 2 ms service with arrivals 50 ms apart must read ~2 ms, not
+        the client's wake-up interval."""
+        trace = _manual_trace(np.arange(12) * 0.05)
+        result = drive_open_loop(_FixedDelayService(0.002), trace)
+        assert result.completed == trace.n
+        assert np.median(result.latencies) < 0.005
+
     def test_drives_live_sharded_service(self, trained_pitot_quantile, mini_split):
         """End-to-end wall-clock open loop against real shard workers."""
         from repro.conformal import ConformalRuntimePredictor
         from repro.core import PAPER_QUANTILES
         from repro.serving import ShardedPredictionService
-        from repro.serving.loadgen import drive_open_loop
 
         predictor = ConformalRuntimePredictor(
             trained_pitot_quantile.model,

@@ -1,5 +1,9 @@
 """Sharded frontend: routing, bitwise identity, backpressure, teardown."""
 
+import multiprocessing
+import time
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -216,10 +220,47 @@ class TestLifecycle:
         name = service.state.shared.name
         audit = service.close()
         assert audit == {"published": 1, "reclaimed": 1, "leaked": 0}
-        from multiprocessing import shared_memory
-
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+    def test_startup_failure_cleans_up_and_fails_fast(
+        self, calibrated, monkeypatch
+    ):
+        """One shard's attach fails: the constructor raises promptly,
+        reaps the sibling worker and unlinks the published segment."""
+        from repro.serving import sharded
+
+        real_main = sharded._shard_main
+
+        def main_with_failing_attach(shard_id, *args):
+            if shard_id == 1:
+                def refuse(layout):
+                    raise OSError("injected attach failure")
+
+                # Forked child: patches this worker's module only.
+                sharded.attach_snapshot = refuse
+            real_main(shard_id, *args)
+
+        published = []
+        real_publish = sharded.SharedSnapshot.publish
+
+        def publish(snapshot, generation):
+            shared = real_publish(snapshot, generation)
+            published.append(shared.name)
+            return shared
+
+        monkeypatch.setattr(sharded, "_shard_main", main_with_failing_attach)
+        monkeypatch.setattr(sharded.SharedSnapshot, "publish", publish)
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard 1 exited during start-up"):
+            ShardedPredictionService.from_predictor(
+                calibrated, n_shards=2, start_method="fork"
+            )
+        assert time.monotonic() - started < 5.0
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=published[0])
 
     def test_close_is_idempotent(self, calibrated):
         service = ShardedPredictionService.from_predictor(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.model import EmbeddingSnapshot
 from repro.serving import SharedSnapshot, attach_snapshot
-from repro.serving.shm import HEADER_BYTES, header_generation
+from repro.serving.shm import HEADER_BYTES, BlockLayout, header_generation
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +138,41 @@ class TestReclaim:
         assert np.array_equal(attached.W, snapshot.W)
         del attached
         shm.close()
+
+
+class TestBlockLayout:
+    """The placement contract a spawn child rebuilds its views from."""
+
+    def test_views_are_aligned_and_bitwise(self):
+        import pickle
+
+        rng = np.random.default_rng(0)
+        arrays = [
+            rng.standard_normal((3, 5, 7)),
+            rng.standard_normal(11).astype(np.float32),
+            rng.integers(0, 100, size=(2, 2)),
+        ]
+        layout = BlockLayout.from_arrays(arrays)
+        assert all(spec.offset % 16 == 0 for spec in layout.specs)
+        buffer = bytearray(layout.nbytes)
+        layout.pack(buffer, arrays)
+        # A pickled layout rebuilds identical views in another process's
+        # mapping — here simulated by a fresh loads() on the same buffer.
+        clone = pickle.loads(pickle.dumps(layout))
+        for arr, view in zip(arrays, clone.views(buffer)):
+            assert view.dtype == arr.dtype
+            assert np.array_equal(view, arr)
+
+    def test_readonly_views(self):
+        arrays = [np.arange(4.0)]
+        layout = BlockLayout.from_arrays(arrays)
+        buffer = bytearray(layout.nbytes)
+        layout.pack(buffer, arrays)
+        view = layout.view(bytes(buffer), 0, writeable=False)
+        with pytest.raises(ValueError):
+            view[0] = 9.0
+
+    def test_pack_rejects_arity_mismatch(self):
+        layout = BlockLayout.from_arrays([np.arange(4.0)])
+        with pytest.raises(ValueError):
+            layout.pack(bytearray(layout.nbytes), [])

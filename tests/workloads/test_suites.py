@@ -1,6 +1,5 @@
 """Benchmark suite composition (Sec 4: 249 workloads, 6 suites)."""
 
-import numpy as np
 import pytest
 
 from repro.workloads import SUITES, enumerate_workload_specs, suite_names
