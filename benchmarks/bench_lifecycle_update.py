@@ -49,7 +49,7 @@ def test_lifecycle_update_speedup(benchmark, scale):
         fresh.runtime = fresh.runtime * DRIFT
 
         config = TrainerConfig(
-            steps=retrain_steps, sparse_embeddings=True,
+            steps=retrain_steps,
             eval_every=retrain_steps,  # no mid-run validation sweeps
         )
         start = time.perf_counter()

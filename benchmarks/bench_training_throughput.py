@@ -13,12 +13,12 @@ Wall-clock is the result here; both paths are row-identical (see
 ``tests/core/test_sparse_training.py`` for the loss-history equivalence
 proof), so the only question is steps/sec.
 
-A second grid compares the training-engine variants (primitive
-reference graph, fused arena kernels, fused + tape replay, float32) at
-fleet scale and in the stable-shape paper regime, where the cached tape
-replays from step 2 onward. The first two are the test oracles in
-``tests/reference_paths.py``. Absolute steps/sec move with the host;
-the asserted contracts are the within-run ratios.
+A second grid compares the training-engine variants (the primitive
+reference graph, the production fused step, and float32) at fleet scale
+and in the paper regime. The reference is the test oracle in
+``tests/reference_paths.py``, which also supplies ``forced_plan`` for
+the dense/sparse grid. Absolute steps/sec move with the host; the
+asserted contracts are the within-run ratios.
 """
 
 import gc
@@ -31,7 +31,7 @@ from repro.core import PitotConfig, PitotModel, PitotTrainer, TrainerConfig
 from repro.eval import format_table
 
 from conftest import emit
-from reference_paths import PrimitiveTrainer, UntapedTrainer
+from reference_paths import PrimitiveTrainer, forced_plan
 
 #: (label, n_workloads, n_platforms) population grid. "paper" is the
 #: published dataset's size; "fleet" is the scale serving is sized for.
@@ -48,13 +48,11 @@ WARMUP_STEPS = 2
 
 #: Engine variants measured at fleet scale (label, trainer class,
 #: TrainerConfig overrides). "reference" rebuilds the primitive autograd
-#: graph each step; "engine" is the production fused + tape-replay path
-#: (bitwise identical losses in float64 —
-#: ``tests/core/test_engine_equivalence``); the float32 row is the
-#: opt-in precision trade.
+#: graph each step; "engine" is the production fused step (bitwise
+#: identical losses in float64 — ``tests/core/test_engine_equivalence``);
+#: the float32 row is the opt-in precision trade.
 ENGINES = [
     ("reference", PrimitiveTrainer, dict()),
-    ("fused", UntapedTrainer, dict()),
     ("engine", PitotTrainer, dict()),
     ("engine_f32", PitotTrainer, dict(dtype="float32")),
 ]
@@ -67,14 +65,14 @@ def _steps_per_sec(
     trainer_cls: type[PitotTrainer] = PitotTrainer,
     **overrides,
 ) -> float:
-    """Steps/sec of ``PitotTrainer.fit`` with one embedding mode forced.
+    """Steps/sec of ``PitotTrainer.fit`` with one tower plan forced
+    (``sparse`` True/False; ``None`` keeps the per-step choice).
 
     Per-fit fixed costs (baseline fit, target preparation — O(n_obs) and
     identical in both modes) are measured with a zero-step fit and
     subtracted, so the ratio reflects step cost alone. ``steps`` scales
     the measured window: fast regimes need more steps than the fleet
-    default for the window to dominate timer noise (and, for the taped
-    engine, to amortize the one-time recording step).
+    default for the window to dominate timer noise.
     """
     model = PitotModel(
         dataset.workload_features,
@@ -84,13 +82,12 @@ def _steps_per_sec(
     )
 
     def fit(steps: int) -> float:
-        trainer = trainer_cls(
+        trainer = forced_plan(trainer_cls, sparse)(
             model,
             TrainerConfig(
                 steps=steps,
                 batch_per_degree=BATCH_PER_DEGREE,
                 seed=0,
-                sparse_embeddings=sparse,
                 **overrides,
             ),
         )
@@ -147,9 +144,9 @@ def test_training_throughput(benchmark):
     )
 
     # Engine grid at fleet scale (sparse auto, as a real run would be):
-    # the tentpole comparison is the default fused+taped engine against
-    # the primitive reference graph ON THE SAME MACHINE — absolute
-    # steps/sec move with the host, the ratio is the contract.
+    # the production fused engine against the primitive reference graph
+    # ON THE SAME MACHINE — absolute steps/sec move with the host, the
+    # ratio is the contract.
     engine_rows, baseline = [], None
     for engine_label, trainer_cls, overrides in ENGINES:
         sps = _steps_per_sec(
@@ -168,12 +165,8 @@ def test_training_throughput(benchmark):
         title="Training engine (fleet population, sparse auto)",
     )
 
-    # Replay pays off where batch shapes repeat: at the paper's own
-    # population auto mode is always dense, every step has the identical
-    # signature, and the cached program replays from step 2 onward. (At
-    # fleet scale the sparse planner draws a different unique-row count
-    # every batch, so the trainer bails out of taping and the engine row
-    # above degenerates to the fused path — by design.)
+    # The paper regime: at the paper's own population auto mode is
+    # always dense, so every step runs the full-population fused towers.
     paper_ref = _steps_per_sec(
         paper_dataset, sparse=None, steps=40, trainer_cls=PrimitiveTrainer
     )
@@ -182,7 +175,7 @@ def test_training_throughput(benchmark):
     metrics["paper_engine"] = (paper_eng, "steps/sec")
     metrics["paper_engine_speedup"] = (paper_eng / paper_ref, "x")
     engine_table += (
-        f"\n\nStable-shape regime (paper population, dense auto): "
+        f"\n\nPaper regime (paper population, dense auto): "
         f"reference {paper_ref:.2f} -> engine {paper_eng:.2f} steps/s "
         f"({paper_eng / paper_ref:.2f}x)"
     )
@@ -190,14 +183,12 @@ def test_training_throughput(benchmark):
     # The tentpole claim: once the population outgrows the batch, the
     # sparse step wins by >=3x. Asserted with headroom against CI noise.
     assert metrics["fleet_speedup"][0] >= 2.0
-    # Fleet-scale sparse shapes never repeat, so the tape bails out and
-    # the engine must simply never lose to the primitive reference
+    # The fused engine must never lose to the primitive reference
     # (floor below parity only by measurement noise).
     assert metrics["fleet_engine_speedup"][0] >= 0.8
-    # Where shapes are stable the recorded program replaces graph
-    # construction; the median win is modest (~1.07x on 1 CPU core —
-    # the fused kernels already removed most Python overhead), so this
-    # floor guards against structural regressions, not the win itself.
+    # At paper scale the fused towers are about at parity with the
+    # reference (1.01x measured on 1 CPU core), so this floor guards
+    # against structural regressions, not a win.
     assert metrics["paper_engine_speedup"][0] >= 0.75
     # The precision trade is the big fleet-scale lever: float32 halves
     # memory traffic through the towers (measured ~2x vs reference).

@@ -95,24 +95,21 @@ class TrainerConfig:
     #: Cap on validation rows used for checkpoint selection (speed).
     max_eval_rows: int = 20000
     seed: int = 0
-    #: Batch-sparse tower evaluation: per step, forward only the entity
-    #: rows the batch references (App B.3 computes *all* embeddings, which
-    #: is the right call on a GPU but wasteful on CPU once the population
-    #: outgrows the batch). Row-identical to the dense path. ``None``
-    #: (default) auto-selects per step: sparse only when the batch
-    #: references at most half the population, since below that the
-    #: gather/scatter overhead outweighs the pruned tower rows. ``True``
-    #: / ``False`` force one path (benchmarks, equivalence tests).
-    sparse_embeddings: bool | None = None
     #: Training precision: "float64" (default; bitwise-pinned by the
     #: equivalence suite) or "float32" (≈2× faster GEMMs/tanh on CPU at
     #: the cost of gradient precision; validation metrics still float64).
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if self.batch_per_degree < 1:
             raise ValueError("batch_per_degree must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.max_eval_rows < 1:
+            # Zero rows would make every validation loss NaN, so fit()
+            # would never checkpoint and silently restore the init.
+            raise ValueError("max_eval_rows must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")

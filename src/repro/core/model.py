@@ -29,9 +29,7 @@ from ..nn import (
     ScratchArena,
     Tensor,
     concatenate,
-    fused_leaky_relu,
     fused_mlp,
-    fused_relu,
     gelu,
     get_default_dtype,
     identity,
@@ -129,8 +127,6 @@ def _forward_batch(
     activation,
     gather,
     const,
-    mask: np.ndarray | None = None,
-    safe: np.ndarray | None = None,
 ):
     """Eq. 9 residual prediction, generic over the array type.
 
@@ -139,12 +135,6 @@ def _forward_batch(
     operations in the same order, so the two paths agree bitwise.
     ``gather(a, idx)`` gathers rows along axis 0 and ``const`` lifts a raw
     coefficient array into the operand type.
-
-    ``mask``/``safe`` optionally supply the precomputed interference mask
-    ``(B, K)`` and padded-safe interferer indices ``(B*K,)``. Tape-cached
-    steps pass persistent buffers here so the recorded graph captures them
-    by reference; when omitted they are derived from ``interferers``
-    exactly as before.
     """
     b = len(w_idx)
     Wi = gather(W, w_idx)  # (B, H, r)
@@ -153,17 +143,14 @@ def _forward_batch(
     # formulation materializes (B,K,H,s,r) and is memory-bound).
     base = (Wi @ Pj.reshape(b, r, 1)).reshape(b, heads)  # (B, H)
 
-    if VS is None or interference_mode == "ignore":
+    if VS is None or interference_mode == "ignore" or interferers is None:
         return base
-    if mask is None:
-        if interferers is None:
-            return base
-        interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-        dt = P.dtype if isinstance(P, np.ndarray) else P.data.dtype
-        mask = (interferers >= 0).astype(dt)  # (B, K)
-        if not mask.any():
-            return base
-        safe = np.where(interferers >= 0, interferers, 0).ravel()
+    interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
+    dt = P.dtype if isinstance(P, np.ndarray) else P.data.dtype
+    mask = (interferers >= 0).astype(dt)  # (B, K)
+    if not mask.any():
+        return base
+    safe = np.where(interferers >= 0, interferers, 0).ravel()
     k = mask.shape[1]
 
     Wk = gather(W, safe).reshape(b, k * heads, r)  # (B, K*H, r)
@@ -400,13 +387,6 @@ class PitotModel(Module):
             "relu": relu,
             "identity": identity,
         }[config.interference_activation]
-        #: Replayable variant used by fused/tape-cached training steps;
-        #: bitwise-identical to ``_activation``.
-        self._fused_activation = {
-            "leaky_relu": lambda t: fused_leaky_relu(t, config.leaky_slope),
-            "relu": fused_relu,
-            "identity": identity,
-        }[config.interference_activation]
 
         #: Scratch buffers for the fused tower kernels: one live buffer
         #: per (tag, shape, dtype) — zero per-step allocation on the
@@ -422,7 +402,7 @@ class PitotModel(Module):
     def _const_features(self, which: str) -> Tensor:
         """Constant feature tensor in the ambient default dtype, cached.
 
-        The fused path re-uses one leaf per dtype so replayed steps do not
+        The fused path re-uses one leaf per dtype so training steps do not
         re-coerce the (static) feature matrices.
         """
         key = (which, np.dtype(get_default_dtype()).str)
@@ -435,12 +415,12 @@ class PitotModel(Module):
     def _fused_tower_input(
         self, table: EmbeddingTable, which: str, rows: np.ndarray | None
     ) -> Tensor:
-        """Tower input ``[x, φ]`` built from replayable gathers.
+        """Tower input ``[x, φ]`` for the fused towers.
 
         Value-identical to :meth:`EmbeddingTable.concat_with` /
-        ``concat_rows``, but the feature gather goes through
-        :meth:`Tensor.take` (capturing ``rows`` by reference) so a
-        recorded tape can rebind the row buffer and replay.
+        ``concat_rows``, but the features come from the per-dtype cached
+        leaf (:meth:`_const_features`) and the row gather goes through
+        :meth:`Tensor.take`.
         """
         feats = self._const_features(which)
         if rows is None:
@@ -537,24 +517,18 @@ class PitotModel(Module):
         p_idx: np.ndarray,
         interferers: np.ndarray | None = None,
         embeddings: tuple | None = None,
-        mask: np.ndarray | None = None,
-        safe: np.ndarray | None = None,
-        fused: bool = False,
     ) -> Tensor:
         """Residual prediction ``ŷ`` for a batch; shape ``(B, H)``.
 
         ``interferers`` is ``(B, K)`` with ``-1`` padding; ``None`` (or an
         all-padding matrix) yields the interference-free prediction. In
         ``interference_mode="ignore"`` interferers are disregarded.
-        ``mask``/``safe`` let the tape-cached training path pass persistent
-        precomputed buffers (see :func:`_forward_batch`); ``fused`` selects
-        the replayable interference activation (bitwise-identical).
+        ``embeddings`` reuses a precomputed :meth:`compute_embeddings` (or
+        ``compute_embeddings_sparse``) result instead of running the towers.
         """
         cfg = self.config
         W, P, VS, VG = (
-            embeddings
-            if embeddings is not None
-            else self.compute_embeddings(fused=fused)
+            embeddings if embeddings is not None else self.compute_embeddings()
         )
         return _forward_batch(
             W,
@@ -568,11 +542,9 @@ class PitotModel(Module):
             r=cfg.embedding_dim,
             s=cfg.interference_types,
             interference_mode=cfg.interference_mode,
-            activation=self._fused_activation if fused else self._activation,
+            activation=self._activation,
             gather=lambda a, idx: a.take(idx),
             const=Tensor,
-            mask=mask,
-            safe=safe,
         )
 
     # ------------------------------------------------------------------
@@ -596,9 +568,8 @@ class PitotModel(Module):
 
         Used by the trainer's ``dtype="float32"`` path before the
         optimizer captures parameter references. Rebinding (not in-place
-        casting) means any previously recorded tape programs or fused
-        closures hold stale buffers, so the arena and feature cache are
-        cleared and the generation bumped.
+        casting) leaves the arena and feature cache holding buffers of the
+        old dtype, so both are cleared and the generation bumped.
         """
         dt = np.dtype(dtype)
         if dt.kind != "f":

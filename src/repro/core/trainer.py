@@ -13,11 +13,11 @@ Reproduces the paper's procedure:
   objectives of Fig 4a.
 
 Deviating from App B.3's "compute all embeddings" step (an optimization on
-GPU, a liability on CPU), the default hot path is *batch-sparse*: each
-step forwards only the entity rows its batch references through the
-towers (see :func:`repro.core.model.plan_sparse_batch`), and validation
-runs on the tape-free ndarray kernel. Both are row-identical to the dense
-formulation; ``TrainerConfig(sparse_embeddings=False)`` restores it.
+GPU, a liability on CPU), a step runs *batch-sparse* whenever that pays
+(:func:`choose_sparse`): it forwards only the entity rows its batch
+references through the towers (see
+:func:`repro.core.model.plan_sparse_batch`). Validation runs on the
+tape-free ndarray kernel. Both are row-identical to the dense formulation.
 """
 
 from __future__ import annotations
@@ -27,17 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.dataset import RuntimeDataset
-from ..nn import (
-    AdaMax,
-    TapeCache,
-    TapeProgram,
-    TapeRecorder,
-    Tensor,
-    default_dtype,
-    fused_pinball,
-    no_grad,
-    where,
-)
+from ..nn import AdaMax, Tensor, default_dtype, no_grad, where
 from .config import PitotConfig, TrainerConfig
 from .model import PitotModel, SparseBatchPlan, plan_sparse_batch
 from .scaling import LinearScalingBaseline
@@ -90,14 +80,6 @@ class TrainingResult:
     steps_run: int = 0
 
 
-#: Consecutive tape-cache misses tolerated before a trainer concludes the
-#: batch-shape regime is unstable and stops recording (see
-#: ``PitotTrainer._tape_step``). Stable regimes (dense, or sparse with
-#: repeating row counts) record each distinct shape once and then hit, so
-#: a streak this long only occurs when shapes genuinely never repeat.
-TAPE_BAILOUT_MISSES = 4
-
-
 class PitotTrainer:
     """Trains a :class:`PitotModel` on a train/validation dataset pair."""
 
@@ -110,26 +92,12 @@ class PitotTrainer:
         self.config = config or TrainerConfig()
         #: Training precision; parameters are cast lazily on first step.
         self._dtype = np.dtype(self.config.dtype)
-        #: Recorded tape programs keyed by batch-shape signature.
-        self._tapes = TapeCache()
-        #: Adaptive bail-out: when batch shapes never repeat (fleet-scale
-        #: sparse steps draw a different unique-row count every batch),
-        #: every step would miss and pay recording overhead on top of the
-        #: fused forward. After this many consecutive misses the trainer
-        #: stops taping for the rest of the run and releases the cached
-        #: programs; replay and the plain fused path are bitwise
-        #: identical, so the switch is invisible to the loss history.
-        self._tape_miss_streak = 0
-        self._tape_disabled = False
 
     def _ensure_dtype(self) -> None:
         """Cast model parameters to the training precision (once)."""
         params = self.model.parameters()
         if params and params[0].data.dtype != self._dtype:
             self.model.cast(self._dtype)
-            # Cast rebinds parameter buffers: recorded programs hold the
-            # old ones and would silently train stale copies.
-            self._tapes.invalidate()
 
     # ------------------------------------------------------------------
     # Targets
@@ -180,29 +148,6 @@ class PitotTrainer:
     def _loss(self, pred: Tensor, target: np.ndarray) -> Tensor:
         """Mean loss for one sub-batch."""
         return self._loss_elementwise(pred, target).mean()
-
-    def _engine_loss(self, pred: Tensor, t2d: np.ndarray, c2d: np.ndarray) -> Tensor:
-        """Replayable scalar step loss, bitwise-equal to the primitive path.
-
-        ``t2d``/``c2d`` are ``(B, 1)`` target/coefficient arrays in the
-        training dtype — persistent buffers on the tape-cached path, so
-        every op here captures them by reference. The quantile branch uses
-        :func:`~repro.nn.fused_pinball` because the primitive ``where``
-        freezes its mask at build time (non-replayable); the other
-        objectives compose from replayable primitives directly.
-        """
-        cfg = self.model.config
-        if cfg.quantiles is not None:
-            xi = np.asarray(cfg.quantiles, dtype=pred.data.dtype)[None, :]
-            loss_elem = fused_pinball(pred, t2d, xi)
-        elif cfg.objective == "proportional":
-            diff = pred - Tensor(t2d)
-            clamped = (diff * (1.0 / 15.0)).tanh() * 15.0
-            loss_elem = (clamped.exp() - 1.0) ** 2.0
-        else:
-            diff = pred - Tensor(t2d)
-            loss_elem = diff * diff
-        return (loss_elem * Tensor(c2d)).sum() * (1.0 / cfg.n_heads)
 
     # ------------------------------------------------------------------
     # Training
@@ -274,14 +219,10 @@ class PitotTrainer:
         any_interference: bool,
         rng: np.random.Generator,
         optimizer: AdaMax,
-        force_sparse: bool | None = None,
     ) -> float:
         """One weighted SGD step; returns the batch loss.
 
-        Shared by :meth:`fit` and :meth:`update`; ``force_sparse``
-        overrides the config's sparse-embedding policy (warm-start
-        updates always run batch-sparse — their batches reference a tiny
-        fraction of the population by construction).
+        Shared by :meth:`fit` and :meth:`update`.
         """
         cfg = self.config
         optimizer.zero_grad()
@@ -302,54 +243,32 @@ class PitotTrainer:
         p_idx = train.p_idx[batch]
         interferers = train.interferers[batch] if any_interference else None
         targets_b = train_targets[batch]
-        loss = self._batch_loss_backward(
-            w_idx, p_idx, interferers, targets_b, coeff, force_sparse
-        )
+        plan = self._plan(w_idx, p_idx, interferers)
+        with default_dtype(self._dtype):
+            loss = self._fused_step(
+                w_idx, p_idx, interferers, plan, targets_b, coeff
+            )
         optimizer.step()
         return loss
 
-    def _batch_loss_backward(
+    def _plan(
         self,
         w_idx: np.ndarray,
         p_idx: np.ndarray,
         interferers: np.ndarray | None,
-        targets_b: np.ndarray,
-        coeff: np.ndarray,
-        force_sparse: bool | None = None,
-    ) -> float:
-        """Forward + backward for one batch; gradients land in ``p.grad``.
+    ) -> SparseBatchPlan | None:
+        """The batch-sparse plan for this step, or ``None`` to run dense.
 
-        Steps replay a recorded tape while batch shapes repeat
-        (:meth:`_tape_step`) and rebuild the fused graph once they stop
-        (:meth:`_fused_step`); the two are bitwise identical.
+        A sparse step runs the towers only over the unique entity rows
+        the batch references, and the gathers scatter gradients back to
+        the full tables. It is row-identical to the dense formulation
+        (the towers are row-independent), so the choice is made per step
+        from the pruning alone (:func:`choose_sparse`).
         """
-        cfg = self.config
-        # Batch-sparse step: towers run only over the unique entity
-        # rows this batch references; the gathers scatter gradients
-        # back to the full tables. Row-identical to the dense
-        # formulation (the towers are row-independent), so auto mode
-        # is free to choose per step on the pruning ratio alone.
-        use_sparse = (
-            cfg.sparse_embeddings if force_sparse is None else force_sparse
-        )
-        plan = None
-        if use_sparse is not False:
-            plan = plan_sparse_batch(w_idx, p_idx, interferers)
-            if use_sparse is None:
-                use_sparse = choose_sparse(
-                    len(plan.w_rows) + len(plan.p_rows),
-                    self.model.n_workloads + self.model.n_platforms,
-                )
-        step = self._fused_step if self._tape_disabled else self._tape_step
-        with default_dtype(self._dtype):
-            return step(
-                w_idx,
-                p_idx,
-                interferers,
-                plan if use_sparse else None,
-                targets_b,
-                coeff,
-            )
+        plan = plan_sparse_batch(w_idx, p_idx, interferers)
+        referenced = len(plan.w_rows) + len(plan.p_rows)
+        population = self.model.n_workloads + self.model.n_platforms
+        return plan if choose_sparse(referenced, population) else None
 
     def _fused_step(
         self,
@@ -360,145 +279,27 @@ class PitotTrainer:
         targets_b: np.ndarray,
         coeff: np.ndarray,
     ) -> float:
-        """Untaped gradient step: the graph is rebuilt on the arena-backed
-        fused kernels. What runs after the tape bail-out."""
+        """Forward + backward for one batch; gradients land in ``p.grad``.
+
+        The towers run on the arena-backed fused kernels, over the rows
+        ``plan`` names (``None``: the whole population); the graph is
+        rebuilt every step.
+        """
         model = self.model
         if plan is not None:
             embeddings = model.compute_embeddings_sparse(
                 plan.w_rows, plan.p_rows, fused=True
             )
-            pred = model.forward(
-                plan.w_local,
-                plan.p_local,
-                plan.interferers_local,
-                embeddings=embeddings,
-                fused=True,
-            )
+            w_idx, p_idx = plan.w_local, plan.p_local
+            interferers = plan.interferers_local
         else:
             embeddings = model.compute_embeddings(fused=True)
-            pred = model.forward(
-                w_idx, p_idx, interferers, embeddings=embeddings, fused=True
-            )
-        dt = self._dtype
-        total_loss = self._engine_loss(
-            pred,
-            np.ascontiguousarray(targets_b[:, None], dtype=dt),
-            np.ascontiguousarray(coeff[:, None], dtype=dt),
+        pred = model.forward(w_idx, p_idx, interferers, embeddings=embeddings)
+        loss_elem = self._loss_elementwise(pred, targets_b)
+        total_loss = (loss_elem * Tensor(coeff[:, None])).sum() * (
+            1.0 / model.config.n_heads
         )
         total_loss.backward()
-        return total_loss.item()
-
-    def _tape_step(
-        self,
-        w_idx: np.ndarray,
-        p_idx: np.ndarray,
-        interferers: np.ndarray | None,
-        plan: SparseBatchPlan | None,
-        targets_b: np.ndarray,
-        coeff: np.ndarray,
-    ) -> float:
-        """Tape-cached gradient step (forward + backward).
-
-        The batch-shape *signature* — path, batch size, interferer width,
-        whether any interference is active, unique-row counts, dtype —
-        fully determines the recorded graph's structure. On a hit the
-        step is pure buffer rebinding + in-place replay: zero graph
-        construction, zero allocation. On a miss the graph is recorded
-        once against persistent input buffers and cached. Dense runs hit
-        from step 2 onward; sparse steps hit whenever
-        :func:`~repro.core.model.plan_sparse_batch` repeats a shape.
-        """
-        model = self.model
-        dt = self._dtype
-        sparse = plan is not None
-        ints = plan.interferers_local if sparse else interferers
-        mask = safe = None
-        if model.config.models_interference and ints is not None:
-            m = ints >= 0
-            if bool(m.any()):
-                mask = m.astype(dt)
-                safe = np.ascontiguousarray(
-                    np.where(m, ints, 0).ravel(), dtype=np.intp
-                )
-        signature = (
-            sparse,
-            len(w_idx),
-            -1 if mask is None else mask.shape[1],
-            len(plan.w_rows) if sparse else -1,
-            len(plan.p_rows) if sparse else -1,
-            dt.str,
-        )
-        binds: dict[str, np.ndarray] = {
-            "t": targets_b[:, None],
-            "coeff": coeff[:, None],
-        }
-        if sparse:
-            binds["w_rows"] = plan.w_rows
-            binds["p_rows"] = plan.p_rows
-            binds["w_local"] = plan.w_local
-            binds["p_local"] = plan.p_local
-        else:
-            binds["w_idx"] = w_idx
-            binds["p_idx"] = p_idx
-        if mask is not None:
-            binds["mask"] = mask
-            binds["safe"] = safe
-
-        program = self._tapes.get(signature)
-        if program is not None:
-            self._tape_miss_streak = 0
-            program.bind(binds)
-            return program.replay()
-        self._tape_miss_streak += 1
-        if self._tape_miss_streak >= TAPE_BAILOUT_MISSES:
-            # Shapes are not repeating: recording every step costs more
-            # than it saves, and the cached programs pin step-sized
-            # graphs. Fall back to the plain fused path for this run.
-            self._tape_disabled = True
-            self._tapes.invalidate()
-
-        # Miss: materialize persistent buffers (exact training dtype for
-        # floats, intp for indices — `np.asarray` inside the forward then
-        # passes them through uncopied, so the graph captures them by
-        # reference and `bind` re-routes future replays).
-        bufs = {
-            name: np.ascontiguousarray(
-                value, dtype=dt if name in ("t", "coeff", "mask") else np.intp
-            )
-            for name, value in binds.items()
-        }
-        recorder = TapeRecorder()
-        with recorder:
-            if sparse:
-                embeddings = model.compute_embeddings_sparse(
-                    bufs["w_rows"], bufs["p_rows"], fused=True
-                )
-                pred = model.forward(
-                    bufs["w_local"],
-                    bufs["p_local"],
-                    None,
-                    embeddings=embeddings,
-                    mask=bufs.get("mask"),
-                    safe=bufs.get("safe"),
-                    fused=True,
-                )
-            else:
-                embeddings = model.compute_embeddings(fused=True)
-                pred = model.forward(
-                    bufs["w_idx"],
-                    bufs["p_idx"],
-                    None,
-                    embeddings=embeddings,
-                    mask=bufs.get("mask"),
-                    safe=bufs.get("safe"),
-                    fused=True,
-                )
-            total_loss = self._engine_loss(pred, bufs["t"], bufs["coeff"])
-        total_loss.backward()
-        if not self._tape_disabled:
-            self._tapes.put(
-                signature, TapeProgram(total_loss, recorder.nodes, bufs)
-            )
         return total_loss.item()
 
     def fit(
@@ -509,10 +310,6 @@ class PitotTrainer:
         """Run the full training procedure; returns history + best model."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        # A fresh run may have a stable batch-shape regime even if the
-        # last one didn't: give taping another chance.
-        self._tape_miss_streak = 0
-        self._tape_disabled = False
         self._fit_baseline(train)
         train_targets = self._targets(train)
         val_targets = (
@@ -573,12 +370,14 @@ class PitotTrainer:
         The continual-learning path: instead of re-fitting from scratch
         when the fleet produces new observations, run a short burst of
         gradient steps *from the current parameters*, sampling batches
-        only from ``new_rows``. Every step is forced through the
-        batch-sparse planner (:func:`~repro.core.model.plan_sparse_batch`),
-        so the towers forward only the entity rows the update batch
-        references — an update's cost scales with the stream slice, not
-        the population, which is where the ≥5x-over-retrain headroom at
-        fleet scale comes from (see ``benchmarks/bench_lifecycle_update``).
+        only from ``new_rows``. Each step picks its plan as :meth:`fit`
+        does: an update batch references a small slice of a large
+        population, so at fleet scale the towers forward only the entity
+        rows it references — an update's cost scales with the stream
+        slice, not the population, which is where the ≥5x-over-retrain
+        headroom at fleet scale comes from (see
+        ``benchmarks/bench_lifecycle_update``). At small populations the
+        dense step is the faster one, and :func:`choose_sparse` picks it.
 
         The scaling baseline and the best-checkpoint machinery are *not*
         re-run: an update is a perturbation of an already-selected model,
@@ -615,10 +414,6 @@ class PitotTrainer:
             rng = np.random.default_rng(
                 self.config.seed if rng is None else rng
             )
-        # Update bursts sample a different slice than the last run; the
-        # shape regime may be stable here even if fit()'s wasn't.
-        self._tape_miss_streak = 0
-        self._tape_disabled = False
         targets = self._targets(new_rows)
         rows_by_degree = self._degree_rows(new_rows)
         n_int = sum(1 for d in rows_by_degree if d > 1)
@@ -631,7 +426,7 @@ class PitotTrainer:
         for step in range(steps):
             loss = self._gradient_step(
                 new_rows, targets, rows_by_degree, n_int,
-                any_interference, rng, optimizer, force_sparse=True,
+                any_interference, rng, optimizer,
             )
             result.train_loss_history.append(loss)
             result.steps_run = step + 1

@@ -37,8 +37,6 @@ _TAPE_METHODS = frozenset(
     {
         "compute_embeddings",
         "compute_embeddings_sparse",
-        "_batch_loss_backward",
-        "_tape_step",
         "_fused_step",
     }
 )

@@ -20,18 +20,11 @@ from .functional import (
     softplus,
     squared_error,
 )
-from .fused import (
-    fused_leaky_relu,
-    fused_linear,
-    fused_mlp,
-    fused_pinball,
-    fused_relu,
-)
+from .fused import ScratchArena, fused_linear, fused_mlp
 from .gradcheck import check_gradients, numerical_gradient
 from .layers import MLP, EmbeddingTable, Linear
 from .module import Module, Parameter
 from .optim import Adam, AdaMax, Optimizer, SGD
-from .tape import ScratchArena, TapeCache, TapeProgram, TapeRecorder
 from .tensor import (
     Tensor,
     as_tensor,
@@ -59,14 +52,8 @@ __all__ = [
     "default_dtype",
     "get_default_dtype",
     "ScratchArena",
-    "TapeRecorder",
-    "TapeProgram",
-    "TapeCache",
     "fused_linear",
     "fused_mlp",
-    "fused_leaky_relu",
-    "fused_relu",
-    "fused_pinball",
     "Module",
     "Parameter",
     "Linear",

@@ -1,44 +1,64 @@
-"""Fused, replayable kernels for the training hot path.
+"""Fused, allocation-free kernels for the training hot path.
 
 Each function here collapses a chain of primitive autograd ops into one
-tape node whose forward runs entirely in preallocated
-:class:`~repro.nn.tape.ScratchArena` buffers and whose backward/replay
-closures recompute in place. Every kernel is **bitwise identical** to the
+graph node whose forward and backward run entirely in preallocated
+:class:`ScratchArena` buffers, so a same-shape step allocates nothing
+for its tower layers. Every kernel is **bitwise identical** to the
 primitive composition it replaces (same elementwise association order,
 same GEMM calls, same accumulation order into shared parents) — the
 equivalence suite in ``tests/core/test_engine_equivalence.py`` pins this.
-
-Fusing matters twice over:
-
-* the forward allocates nothing per step (the arena owns one buffer per
-  operand), and
-* the node is *replayable*: unlike ``where``-based primitives, whose
-  branch masks are frozen at build time, these kernels recompute their
-  masks from the parents' live buffers, so a recorded tape
-  (:class:`~repro.nn.tape.TapeProgram`) can re-run them against fresh
-  inputs.
 """
 
 from __future__ import annotations
 
-from typing import cast
+from typing import Any, cast
 
 import numpy as np
 
 from .functional import gelu as _gelu_primitive
 from .module import Module
-from .tape import ScratchArena
 from .tensor import Array, Tensor
 
 __all__ = [
+    "ScratchArena",
     "fused_linear",
     "fused_mlp",
-    "fused_leaky_relu",
-    "fused_relu",
-    "fused_pinball",
     "gelu_forward",
     "gelu_grad_local",
 ]
+
+
+class ScratchArena:
+    """Named reusable buffers: ``get(tag, shape, dtype)`` with realloc-on-
+    shape-change semantics.
+
+    Each tag owns exactly one live buffer, so memory is bounded by the
+    number of distinct tags (one per fused-kernel operand), not by the
+    number of distinct batch shapes seen. A graph built on a buffer keeps
+    its reference; reallocating the tag for a new shape orphans the old
+    buffer without touching that graph.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self.reallocations = 0
+
+    def get(self, tag: str, shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+        dt = np.dtype(dtype)
+        buf = self._buffers.get(tag)
+        if buf is None or buf.shape != shape or buf.dtype != dt:
+            if buf is not None:
+                self.reallocations += 1
+            buf = np.empty(shape, dtype=dt)
+            self._buffers[tag] = buf
+        return buf
+
+    def clear(self) -> None:
+        self._buffers.clear()
+
+    def __len__(self) -> int:
+        return len(self._buffers)
+
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
@@ -136,13 +156,7 @@ def fused_linear(
             np.matmul(xd.T, dh, out=gw)
             weight._accumulate(gw, own=True)
 
-    def replay() -> None:
-        np.matmul(xd, Wd, out=h)
-        np.add(h, bd, out=h)  # `h += bd`; augmented form would bind h local
-        if gelu:
-            gelu_forward(h, out_data, t, s)
-
-    return Tensor._make(out_data, (x, weight, bias), backward, replay)
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 def fused_mlp(mlp: Module, x: Tensor, arena: ScratchArena, tag: str) -> Tensor:
@@ -166,86 +180,3 @@ def fused_mlp(mlp: Module, x: Tensor, arena: ScratchArena, tag: str) -> Tensor:
             gelu=idx < n_layers - 1,
         )
     return x
-
-
-def fused_leaky_relu(x: Tensor, negative_slope: float = 0.1) -> Tensor:
-    """Replayable LeakyReLU, bitwise-matching :func:`repro.nn.leaky_relu`.
-
-    The primitive form freezes its ``where`` mask at build time; this node
-    recomputes the mask from the live buffer on replay. The backward keeps
-    the primitive composition's two-term accumulation order so gradients
-    agree bitwise even at signed-zero edge cases.
-    """
-    v = x.data
-    data = np.where(v > 0, v, v * negative_slope)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            m = v > 0
-            gx = np.where(m, g, 0.0).astype(v.dtype, copy=False)
-            gx += np.where(m, 0.0, g).astype(v.dtype, copy=False) * negative_slope
-            x._accumulate(gx, own=True)
-
-    out = Tensor._make(data, (x,), backward)
-    out_data = out.data  # buffer, not tensor: keep the node acyclic
-    out._replay = lambda: _leaky_recompute(v, negative_slope, out_data)
-    return out
-
-
-def _leaky_recompute(v: Array, slope: float, out: Array) -> None:
-    np.multiply(v, slope, out=out)
-    np.copyto(out, v, where=v > 0)
-
-
-def fused_relu(x: Tensor) -> Tensor:
-    """Replayable ReLU, bitwise-matching :func:`repro.nn.relu`."""
-    v = x.data
-    data = np.where(v > 0, v, np.zeros_like(v))
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            gx = np.where(v > 0, g, 0.0).astype(v.dtype, copy=False)
-            x._accumulate(gx, own=True)
-
-    out = Tensor._make(data, (x,), backward)
-    out_data = out.data  # buffer, not tensor: keep the node acyclic
-    out._replay = lambda: _relu_recompute(v, out_data)
-    return out
-
-
-def _relu_recompute(v: Array, out: Array) -> None:
-    out.fill(0.0)
-    np.copyto(out, v, where=v > 0)
-
-
-def fused_pinball(pred: Tensor, target: Array, quantiles: Array) -> Tensor:
-    """Replayable multi-head pinball loss, ``(B, H)`` elementwise.
-
-    Bitwise-matches the trainer's primitive composition
-    ``where(u > 0, u * xi, u * (xi - 1))`` with ``u = target - pred``
-    (IEEE subtraction equals adding the negation exactly). ``target`` is
-    captured by reference — ``(B, 1)`` — so a tape program can rebind it.
-    """
-    xi = np.asarray(quantiles)
-    xi_m1 = xi - 1.0
-    u = target - pred.data
-
-    def backward(g: Array) -> None:
-        if pred.requires_grad:
-            m = u > 0
-            gu = np.where(m, 0.0, g).astype(u.dtype, copy=False) * xi_m1
-            gu += np.where(m, g, 0.0).astype(u.dtype, copy=False) * xi
-            np.negative(gu, out=gu)
-            pred._accumulate(gu, own=True)
-
-    data = np.where(u > 0, u * xi, u * xi_m1)
-    out = Tensor._make(data, (pred,), backward)
-    out_data = out.data  # buffer, not tensor: keep the node acyclic
-
-    def replay() -> None:
-        np.subtract(target, pred.data, out=u)
-        np.multiply(u, xi_m1, out=out_data)
-        np.copyto(out_data, u * xi, where=u > 0)
-
-    out._replay = replay
-    return out

@@ -82,9 +82,9 @@ class Module:
                     f"{p.data.shape} vs {state[name].shape}"
                 )
             # In-place copy (not rebinding) keeps the parameter's buffer
-            # identity stable: recorded tape programs, fused-kernel
-            # closures, and shared-memory worker views all capture
-            # ``p.data`` by reference and must observe checkpoint loads.
+            # identity stable: anything holding ``p.data`` by reference
+            # (a fused-kernel graph, a caller's view) observes
+            # checkpoint loads.
             np.copyto(p.data, state[name])
 
     # ------------------------------------------------------------------

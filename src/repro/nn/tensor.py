@@ -67,14 +67,10 @@ _DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
 #: next value; :meth:`Tensor.backward` runs closures in *descending* stamp
 #: order (creation order is a valid topological order, parents always
 #: precede children), which makes gradient-accumulation order a
-#: deterministic function of graph construction — the property that lets a
-#: recorded tape (:mod:`repro.nn.tape`) replay bitwise-identically to a
-#: fresh backward pass.
+#: deterministic function of graph construction — so two graphs built by
+#: the same op sequence (a fused kernel and the primitive composition it
+#: replaces) accumulate shared-parent gradients in the same order.
 _SEQ: int = 0
-
-#: Active tape recorder (or ``None``); see :mod:`repro.nn.tape`. Kept here
-#: so the `_make` hot path pays one global load when recording is off.
-_ACTIVE_TAPE: Any = None
 
 
 def get_default_dtype() -> np.dtype:
@@ -106,24 +102,6 @@ class default_dtype:
         global _DEFAULT_DTYPE
         _DEFAULT_DTYPE = self._previous.pop()
         return False
-
-
-def _push_tape(recorder: Any) -> Any:
-    """Install ``recorder`` as the active tape; returns the previous one."""
-    global _ACTIVE_TAPE
-    previous = _ACTIVE_TAPE
-    _ACTIVE_TAPE = recorder
-    return previous
-
-
-def _pop_tape(previous: Any) -> None:
-    global _ACTIVE_TAPE
-    _ACTIVE_TAPE = previous
-
-
-def _noop_replay() -> None:
-    """Replay marker for view outputs: recomputing the parent in place
-    updates the view automatically, so there is nothing to do."""
 
 
 def is_grad_enabled() -> bool:
@@ -207,7 +185,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_seq", "_replay")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_seq")
 
     def __init__(
         self,
@@ -223,7 +201,6 @@ class Tensor:
         self._prev: tuple[Tensor, ...] = _prev
         _SEQ += 1
         self._seq: int = _SEQ
-        self._replay: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -289,24 +266,12 @@ class Tensor:
         data: Array,
         parents: tuple["Tensor", ...],
         backward: Callable[[Array], None],
-        replay: Callable[[], None] | None = None,
     ) -> "Tensor":
-        """Build an op-output tensor.
-
-        ``replay`` is an optional closure that recomputes ``data`` *in
-        place* from the parents' current buffers; an active tape recorder
-        (:mod:`repro.nn.tape`) stores it so an identical-shape step can be
-        re-executed without rebuilding the graph. Ops whose structure
-        depends on runtime values (``where`` masks, fancy indexing) pass
-        ``None``, which marks the recorded tape non-replayable.
-        """
+        """Build an op-output tensor."""
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, _prev=parents if requires else ())
         if requires:
             out._backward = backward
-        if _ACTIVE_TAPE is not None:
-            out._replay = replay
-            _ACTIVE_TAPE.record(out)
         return out
 
     def backward(self, grad: Array | None = None) -> None:
@@ -327,7 +292,7 @@ class Tensor:
         # parents always exist before children — and unlike DFS post-order
         # it does not depend on traversal tie-breaking, so the
         # gradient-accumulation order (bit-significant for nodes with 3+
-        # consumers) is exactly the order a recorded tape replays in.
+        # consumers) is a function of graph construction alone.
         reachable: list[Tensor] = []
         visited: set[int] = set()
         stack: list[Tensor] = [self]
@@ -367,17 +332,7 @@ class Tensor:
                 go = _unbroadcast(g, other.shape)
                 other._accumulate(go, own=go is not g)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _ACTIVE_TAPE is not None:
-            # Replay closures (here and in every op below) must capture
-            # the output *buffer*, never `out` itself: a lambda holding
-            # its own tensor turns each recorded graph into a reference
-            # cycle, so dropped steps wait for the cyclic GC instead of
-            # freeing by refcount — at fleet scale that backlog slows
-            # later fits in the same process by several x.
-            out_data = out.data
-            out._replay = lambda: np.add(self.data, other.data, out=out_data)
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -386,11 +341,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-g, own=True)
 
-        out = Tensor._make(-self.data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.negative(self.data, out=out_data)
-        return out
+        return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other: TensorLike) -> "Tensor":
         return self + (-as_tensor(other))
@@ -408,11 +359,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape), own=True)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.multiply(self.data, other.data, out=out_data)
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -429,11 +376,7 @@ class Tensor:
                     own=True,
                 )
 
-        out = Tensor._make(data, (self, other), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.divide(self.data, other.data, out=out_data)
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other: TensorLike) -> "Tensor":
         return as_tensor(other) / self
@@ -447,11 +390,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * exponent * self.data ** (exponent - 1), own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.power(self.data, exponent, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Matrix products
@@ -482,11 +421,7 @@ class Tensor:
                     _unbroadcast(gb, b2.shape).reshape(b.shape), own=True
                 )
 
-        out = Tensor._make(data, (self, other), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.matmul(a, b, out=out_data)
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -498,11 +433,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * data, own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.exp(self.data, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def log(self) -> "Tensor":
         data = np.log(self.data)
@@ -511,11 +442,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g / self.data, own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.log(self.data, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
@@ -524,11 +451,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * (1.0 - data**2), own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.tanh(self.data, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
@@ -537,13 +460,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * data * (1.0 - data), own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.copyto(
-                out_data, 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-            )
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
@@ -552,11 +469,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * np.sign(self.data), own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.abs(self.data, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
@@ -581,13 +494,7 @@ class Tensor:
                     grad = np.expand_dims(grad, ax)
             self._accumulate(np.broadcast_to(grad, self.shape).copy(), own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out_data = out.data
-            out._replay = lambda: np.sum(
-                self.data, axis=axis, keepdims=keepdims, out=out_data
-            )
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def mean(
         self,
@@ -640,16 +547,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.reshape(original))
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            if np.shares_memory(out.data, self.data):
-                out._replay = _noop_replay
-            else:
-                out_data = out.data
-                out._replay = lambda: np.copyto(
-                    out_data, self.data.reshape(out_data.shape)
-                )
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def transpose(self, *axes: int | tuple[int, ...] | list[int]) -> "Tensor":
         if not axes:
@@ -663,11 +561,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.transpose(inverse))
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            # transpose always returns a view of the parent buffer.
-            out._replay = _noop_replay
-        return out
+        return Tensor._make(data, (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -681,10 +575,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.reshape(original))
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out._replay = _noop_replay  # always a view
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def expand_dims(self, axis: int) -> "Tensor":
         data = np.expand_dims(self.data, axis)
@@ -694,10 +585,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.reshape(original))
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            out._replay = _noop_replay  # always a view
-        return out
+        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Indexing / gathers
@@ -718,11 +606,7 @@ class Tensor:
                 np.add.at(grad, index, g)
             self._accumulate(grad, own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None and basic:
-            # Basic indexing returns a view of the parent buffer.
-            out._replay = _noop_replay
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def take(self, indices: Array) -> "Tensor":
         """Gather rows along axis 0 (embedding lookup).
@@ -750,13 +634,7 @@ class Tensor:
                 grad = grad.astype(self.data.dtype)
             self._accumulate(grad, own=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _ACTIVE_TAPE is not None:
-            # `indices` is captured by reference: rebinding a program's
-            # index buffer (np.copyto) re-routes the replayed gather.
-            out_data = out.data
-            out._replay = lambda: np.take(self.data, indices, axis=0, out=out_data)
-        return out
+        return Tensor._make(data, (self,), backward)
 
 
 def as_tensor(value: TensorLike) -> Tensor:
@@ -778,12 +656,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(sl)])
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _ACTIVE_TAPE is not None:
-        parts = [t.data for t in tensors]
-        out_data = out.data
-        out._replay = lambda: np.concatenate(parts, axis=axis, out=out_data)
-    return out
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -119,7 +119,7 @@ def fleet_large() -> ScenarioSpec:
             n_platforms=4096,
             n_observations=400_000,
         ),
-        trainer=TrainerConfig(steps=2000, sparse_embeddings=True),
+        trainer=TrainerConfig(steps=2000),
     )
 
 

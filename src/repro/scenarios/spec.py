@@ -45,7 +45,9 @@ __all__ = [
 #: margin_clip) join ConformalSpec and therefore the spec hash.
 #: v6: the fused-kernel, tape-caching and gradient-worker switches are
 #: retired; each training operation has one production path.
-SPEC_SCHEMA_VERSION = 6
+#: v7: the forced dense/sparse switch is retired; every step chooses its
+#: tower plan from the batch.
+SPEC_SCHEMA_VERSION = 7
 
 #: Margin-estimator modes of the conformal engine. Deliberately a local
 #: copy of :data:`repro.conformal.margins.MARGIN_MODES` — the scenarios
@@ -516,7 +518,6 @@ _SCALED_FIELDS = {
     "learning_rate": "trainer",
     "eval_every": "trainer",
     "max_eval_rows": "trainer",
-    "sparse_embeddings": "trainer",
     "dtype": "trainer",
     "epsilons": "conformal",
     "strategy": "conformal",

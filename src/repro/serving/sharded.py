@@ -356,9 +356,9 @@ class ShardedPredictionService:
                 )
                 proc.start()
                 self._procs.append(proc)
-            self._await(self._all_ready)
+            self._await(self._all_ready, during="during start-up")
         except BaseException:
-            self._abort_startup(shared)
+            self._release(shared, grace=0.0)
             raise
         self._state = RouterState(
             shared=shared,
@@ -368,26 +368,32 @@ class ShardedPredictionService:
         )
 
     def _all_ready(self) -> bool:
-        """Start-up barrier: every shard attached; raises as soon as a
-        worker has exited instead of waiting out the deadline."""
+        """Start-up barrier: every shard attached."""
         with self._lock:
-            if len(self._ready) == self.n_shards:
-                return True
+            return len(self._ready) == self.n_shards
+
+    def _raise_if_dead(self, during: str) -> None:
+        """Raise ``RuntimeError`` naming the first shard whose worker
+        process has exited: whatever it owes the router never arrives."""
         for shard, proc in enumerate(self._procs):
             if proc.exitcode is not None:
                 raise RuntimeError(
-                    f"shard {shard} exited during start-up "
+                    f"shard {shard} exited {during} "
                     f"(exit code {proc.exitcode})"
                 )
-        return False
 
-    def _abort_startup(self, shared: SharedSnapshot) -> None:
-        """Undo a failed start-up: terminate and join every started
-        worker, close the queues and reclaim the published segment."""
-        for proc in self._procs:
+    def _release(self, shared: SharedSnapshot, grace: float) -> None:
+        """Join every worker, terminating any still alive after
+        ``grace`` seconds, close the queues and reclaim ``shared``."""
+        for shard, proc in enumerate(self._procs):
+            proc.join(timeout=grace)
             if proc.is_alive():
                 proc.terminate()
-            proc.join(timeout=10)
+                proc.join(timeout=10)
+            if shard not in self._stopped:
+                # Nobody reads this queue any more: exit must not wait
+                # to flush what the router wrote to it.
+                self._tasks[shard].cancel_join_thread()
         for tasks in self._tasks:
             tasks.close()
         if self._responses is not None:
@@ -492,8 +498,15 @@ class ShardedPredictionService:
         else:
             self._latency_ewma += 0.2 * (observed - self._latency_ewma)
 
-    def _await(self, done, timeout: float = 60.0) -> None:
-        """Drain responses until ``done()`` or ``timeout`` seconds pass."""
+    def _await(
+        self, done, timeout: float = 60.0, during: str = "while serving"
+    ) -> None:
+        """Drain responses until ``done()`` or ``timeout`` seconds pass.
+
+        A drain that comes back idle with ``done()`` still false checks
+        the workers, and raises naming a shard whose process has exited
+        instead of waiting out the deadline.
+        """
         deadline = time.monotonic() + timeout
         while not done():
             remaining = deadline - time.monotonic()
@@ -501,7 +514,8 @@ class ShardedPredictionService:
                 raise TimeoutError(
                     "sharded service timed out awaiting worker responses"
                 )
-            self._drain(timeout=min(remaining, 0.1))
+            if not self._drain(timeout=min(remaining, 0.1)) and not done():
+                self._raise_if_dead(during)
 
     # ------------------------------------------------------------------
     # Synchronous bound protocol (scatter/gather)
@@ -578,7 +592,7 @@ class ShardedPredictionService:
 
         out = np.empty(n)
         while pending:
-            self._drain(timeout=0.1)
+            idle = not self._drain(timeout=0.1)
             with self._lock:
                 for ticket in list(pending):
                     if ticket in self._errors:
@@ -587,6 +601,8 @@ class ShardedPredictionService:
                         _, bounds, _, _ = self._results.pop(ticket)
                         out[scatter.pop(ticket)] = bounds
                         pending.discard(ticket)
+            if idle and pending:
+                self._raise_if_dead("while serving")
         return out
 
     # ------------------------------------------------------------------
@@ -830,21 +846,25 @@ class ShardedPredictionService:
         for tasks in self._tasks:
             tasks.put(("stop",))
 
-        def stopped() -> bool:
+        def settled() -> bool:
+            # Every worker said goodbye, or one has exited. A dead worker
+            # never will, and it may have died holding the shared response
+            # queue's write lock, which would silence the rest too: from
+            # here they are joined, or terminated after a grace period.
+            # (Being true once any worker exited, this also keeps
+            # ``_await`` from raising on workers that exit as asked.)
             with self._lock:
-                return len(self._stopped) == self.n_shards
+                said = len(self._stopped)
+            return said == self.n_shards or any(
+                proc.exitcode is not None for proc in self._procs
+            )
 
-        self._await(stopped)
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
         state = self._state
-        state.shared.reclaim()
-        self._reclaim_log.append((state.generation, self.n_shards))
-        for tasks in self._tasks:
-            tasks.close()
-        self._responses.close()
+        try:
+            self._await(settled)
+        finally:
+            self._release(state.shared, grace=5.0)
+            self._reclaim_log.append((state.generation, self.n_shards))
         return self._audit()
 
     def _audit(self) -> dict[str, int]:

@@ -71,3 +71,25 @@ class TestTrainerConfig:
 
         with pytest.raises(ValueError, match=field):
             get_scenario("smoke").scaled(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_eval_rows", 0), ("max_eval_rows", -1),
+                         ("steps", -1)]
+    )
+    def test_out_of_range_counts_raise(self, field, value):
+        # max_eval_rows=0 used to make every validation loss NaN, so
+        # fit() never checkpointed and silently restored the init.
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("max_eval_rows", 0),
+                                              ("steps", -1)])
+    def test_scaled_spec_rejects_out_of_range_counts(self, field, value):
+        from repro.scenarios import get_scenario
+
+        with pytest.raises(ValueError, match=field):
+            get_scenario("smoke").scaled(**{field: value})
+
+    def test_zero_steps_is_legal(self):
+        # The training bench times fit(0) to subtract per-fit fixed cost.
+        assert TrainerConfig(steps=0).steps == 0

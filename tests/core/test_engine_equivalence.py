@@ -1,14 +1,14 @@
-"""Engine equivalence: fused / tape-replay paths vs the primitive reference.
+"""Engine equivalence: the fused production step vs the primitive reference.
 
 ``reference_paths.PrimitiveTrainer`` rebuilds the pre-engine primitive
-autograd graph every step. The fused arena kernels without replay
-(``reference_paths.UntapedTrainer``: the production step after a tape
-bail-out) and the recorded-tape replay path must be **bitwise**
-identical to it in float64 — not approximately equal: same train-loss
-history, same validation history, same checkpoint selection, same final
-parameters.
+autograd graph every step. The production step (fused arena kernels,
+graph rebuilt every step) must be **bitwise** identical to it in
+float64 — not approximately equal: same train-loss history, same
+validation history, same checkpoint selection, same final parameters.
 These tests pin that contract over full seeded fits across both
-objectives and all three sparse modes, plus the warm-update path.
+objectives and all three tower plans (dense and sparse forced through
+``reference_paths.forced_plan``, and the automatic choice), plus the
+warm-update path.
 
 The float32 engine is a deliberate precision trade, so it is pinned
 loosely (finite, tracks float64 at the first step) rather than bitwise.
@@ -20,27 +20,23 @@ import pytest
 from repro.core import (
     PAPER_QUANTILES,
     PitotConfig,
-    PitotModel,
     PitotTrainer,
     TrainerConfig,
 )
 from repro.core.trainer import (
     SPARSE_AUTO_FRACTION,
     SPARSE_MIN_SAVED_ROWS,
-    TAPE_BAILOUT_MISSES,
     choose_sparse,
 )
 
-from reference_paths import PrimitiveTrainer, UntapedTrainer, train_with
+from reference_paths import PrimitiveTrainer, forced_plan, train_with
 
 TINY = dict(hidden=(32,), embedding_dim=8, learned_features=1)
 
 REFERENCE = PrimitiveTrainer
-FUSED = UntapedTrainer
-TAPED = PitotTrainer
 
 
-def _fit(split, *, quantile=False, steps=30, engine=TAPED, **overrides):
+def _fit(split, *, quantile=False, steps=30, engine=PitotTrainer, **overrides):
     cfg = dict(steps=steps, eval_every=10, batch_per_degree=64, seed=2)
     cfg.update(overrides)
     return train_with(
@@ -65,22 +61,22 @@ class TestBitwiseParity:
                              ids=["squared", "pinball"])
     def test_engines_match_reference(self, mini_split, quantile, sparse):
         ref = _fit(mini_split, quantile=quantile,
-                   sparse_embeddings=sparse, engine=REFERENCE)
-        for engine in (FUSED, TAPED):
-            out = _fit(mini_split, quantile=quantile,
-                       sparse_embeddings=sparse, engine=engine)
-            assert out.train_loss_history == ref.train_loss_history
-            assert out.val_loss_history == ref.val_loss_history
-            assert out.best_step == ref.best_step
-            for a, b in zip(_params(out), _params(ref), strict=True):
-                assert np.array_equal(a, b)
+                   engine=forced_plan(REFERENCE, sparse))
+        out = _fit(mini_split, quantile=quantile,
+                   engine=forced_plan(PitotTrainer, sparse))
+        assert out.train_loss_history == ref.train_loss_history
+        assert out.val_loss_history == ref.val_loss_history
+        assert out.best_step == ref.best_step
+        for a, b in zip(_params(out), _params(ref), strict=True):
+            assert np.array_equal(a, b)
 
-    def test_warm_update_matches_reference(self, trained_pitot, mini_split):
-        # The continual-learning burst forces the sparse planner with
-        # stream-sized batches — shapes the fit path never sees.
+    @staticmethod
+    def _update_histories(trained_pitot, mini_split, sparse):
+        # The continual-learning burst draws stream-sized batches —
+        # shapes the fit path never sees.
         histories = []
-        for engine in (REFERENCE, TAPED):
-            trainer = engine(
+        for engine in (REFERENCE, PitotTrainer):
+            trainer = forced_plan(engine, sparse)(
                 trained_pitot.model.clone(),
                 TrainerConfig(batch_per_degree=48, seed=7),
             )
@@ -88,70 +84,19 @@ class TestBitwiseParity:
                 trainer.update(mini_split.calibration, steps=12, rng=5)
                 .train_loss_history
             )
+        return histories
+
+    def test_warm_update_matches_reference(self, trained_pitot, mini_split):
+        histories = self._update_histories(trained_pitot, mini_split, None)
         assert histories[0] == histories[1]
 
-
-class TestTapeCache:
-    def test_dense_run_replays_from_cache(self, mini_split):
-        model = PitotModel(
-            mini_split.train.workload_features,
-            mini_split.train.platform_features,
-            PitotConfig(**TINY),
-            np.random.default_rng(0),
-        )
-        trainer = PitotTrainer(
-            model,
-            TrainerConfig(steps=12, eval_every=10_000, batch_per_degree=64,
-                          seed=1, sparse_embeddings=False),
-        )
-        trainer.fit(mini_split.train)
-        stats = trainer._tapes.stats()
-        # Dense shapes repeat every step: record once, replay the rest.
-        assert stats["misses"] >= 1
-        assert stats["hits"] >= 10
-        assert stats["rejected"] == 0
-
-    def test_unstable_shapes_trigger_bailout(self, mini_split):
-        """Never-repeating batch shapes must not thrash the cache.
-
-        Fleet-scale sparse steps draw a different unique-row count every
-        batch, so every step would miss and pay recording overhead on
-        top of the fused forward (measured ~2x slower than not taping at
-        all). After ``TAPE_BAILOUT_MISSES`` consecutive misses the
-        trainer stops taping and releases the cached programs; a later
-        ``fit`` on a stable regime re-enables it.
-        """
-        train = mini_split.train
-        model = PitotModel(
-            train.workload_features,
-            train.platform_features,
-            PitotConfig(**TINY),
-            np.random.default_rng(0),
-        )
-        trainer = PitotTrainer(
-            model,
-            TrainerConfig(steps=12, eval_every=10_000, batch_per_degree=64,
-                          seed=1, sparse_embeddings=False),
-        )
-        for n in range(8, 8 + TAPE_BAILOUT_MISSES + 2):  # no shape repeats
-            trainer._batch_loss_backward(
-                np.ascontiguousarray(train.w_idx[:n]),
-                np.ascontiguousarray(train.p_idx[:n]),
-                None,
-                np.zeros(n),
-                np.ones(n),
-            )
-        assert trainer._tape_disabled
-        stats = trainer._tapes.stats()
-        # The streak stops exactly at the threshold (later steps bypass
-        # the cache entirely) and bail-out releases every program.
-        assert stats["misses"] == TAPE_BAILOUT_MISSES
-        assert stats["hits"] == 0
-        assert stats["programs"] == 0
-        # A fresh fit gets a stable dense regime: taping comes back.
-        trainer.fit(train)
-        assert not trainer._tape_disabled
-        assert trainer._tapes.stats()["hits"] >= 10
+    def test_sparse_warm_update_matches_reference(
+        self, trained_pitot, mini_split
+    ):
+        # A fleet-scale update runs batch-sparse; the mini population
+        # would pick dense, so force the sparse plan here.
+        histories = self._update_histories(trained_pitot, mini_split, True)
+        assert histories[0] == histories[1]
 
 
 class TestDtype:

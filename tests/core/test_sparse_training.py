@@ -15,9 +15,10 @@ from repro.core import (
     PitotTrainer,
     TrainerConfig,
     plan_sparse_batch,
-    train_pitot,
 )
 from repro.nn import Tensor
+
+from reference_paths import forced_plan, train_with
 
 TINY = dict(hidden=(16,), embedding_dim=4, learned_features=1)
 
@@ -135,7 +136,8 @@ class TestTrainerEquivalence:
         """≥50 steps: sparse and dense runs share the same loss history."""
 
         def run(sparse):
-            return train_pitot(
+            return train_with(
+                forced_plan(PitotTrainer, sparse),
                 mini_split.train,
                 mini_split.calibration,
                 model_config=PitotConfig(quantiles=quantiles, **TINY),
@@ -144,7 +146,6 @@ class TestTrainerEquivalence:
                     eval_every=20,
                     batch_per_degree=64,
                     seed=0,
-                    sparse_embeddings=sparse,
                 ),
             )
 
@@ -168,7 +169,8 @@ class TestTrainerEquivalence:
         """Auto selection changes speed, never the trajectory."""
 
         def run(mode):
-            return train_pitot(
+            return train_with(
+                forced_plan(PitotTrainer, mode),
                 mini_split.train,
                 None,
                 model_config=PitotConfig(**TINY),
@@ -176,7 +178,6 @@ class TestTrainerEquivalence:
                     steps=25,
                     batch_per_degree=64,
                     seed=0,
-                    sparse_embeddings=mode,
                 ),
             ).train_loss_history
 

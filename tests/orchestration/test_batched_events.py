@@ -143,6 +143,25 @@ class TestTraceParity:
         assert ref.events == fast.events
         assert _comparable_epochs(ref) == _comparable_epochs(fast)
 
+    def test_dirty_platform_requote_identical(self):
+        # Here a migration early in a pass changes the co-residents, and
+        # so the screening quote, of a job screened later in the same
+        # pass. The batched screen must re-quote that job instead of
+        # reusing its pre-pass quote; reusing it changes this trace.
+        world = _world(n_workloads=8, n_platforms=5, sigma=0.5)
+        sched = _sched(
+            jobs_per_epoch=25, epochs=5, deadline_slack=(1.2, 1.8),
+            max_residents=4,
+        )
+        multipliers = [1.0, 1.2, 1.5, 1.9, 2.4]
+        ref = _run(ScalarEventSimulator, world, sched, seed=18,
+                   multipliers=multipliers)
+        fast = _run(ClusterSimulator, world, sched, seed=18,
+                    multipliers=multipliers)
+        assert sum(e.migrations for e in ref.epochs) > 0
+        assert ref.events == fast.events
+        assert _comparable_epochs(ref) == _comparable_epochs(fast)
+
     def test_identical_trace_on_real_service(
         self, trained_pitot_quantile, mini_split, mini_dataset
     ):

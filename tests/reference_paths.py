@@ -5,9 +5,9 @@ formulations it replaced live here, as test oracles: the parity tests
 pin the production path to them bit for bit, and the throughput benches
 time the production path against them.
 
-* :class:`PrimitiveTrainer` / :class:`UntapedTrainer` — the training step
-  on the primitive autograd graph, and on the fused kernels without tape
-  replay;
+* :class:`PrimitiveTrainer` — the training step on the primitive autograd
+  graph; :func:`forced_plan` pins a trainer to the dense or the sparse
+  tower plan;
 * :func:`row_by_row_oracle` — a :class:`~repro.orchestration.BudgetOracle`
   issuing one ``predict_bound`` call per row;
 * :class:`ScalarEventSimulator` — the cluster simulator with its epoch
@@ -26,13 +26,19 @@ from collections import deque
 import numpy as np
 
 from repro.conformal import OnlineConformalizer
-from repro.core import PitotConfig, PitotModel, PitotTrainer, TrainerConfig
+from repro.core import (
+    PitotConfig,
+    PitotModel,
+    PitotTrainer,
+    TrainerConfig,
+    plan_sparse_batch,
+)
 from repro.nn import Tensor
 from repro.orchestration import BudgetOracle, ClusterSimulator, FleetWorld
 
 __all__ = [
     "PrimitiveTrainer",
-    "UntapedTrainer",
+    "forced_plan",
     "train_with",
     "row_by_row_oracle",
     "reference_runtime",
@@ -44,15 +50,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Training engine
 # ----------------------------------------------------------------------
-# PitotTrainer routes every step through ``_tape_step`` until batch
-# shapes stop repeating. The references override it, so they never touch
-# the tape cache: the bail-out never fires and every step runs the
-# reference formulation.
+# PitotTrainer runs every step through ``_fused_step`` on the plan
+# ``_plan`` picks from the batch; the references override those two seams.
 class PrimitiveTrainer(PitotTrainer):
     """The pre-engine step: the primitive autograd graph, rebuilt every
     step from unfused layer ops."""
 
-    def _tape_step(self, w_idx, p_idx, interferers, plan, targets_b, coeff):
+    def _fused_step(self, w_idx, p_idx, interferers, plan, targets_b, coeff):
         model = self.model
         if plan is not None:
             embeddings = model.compute_embeddings_sparse(plan.w_rows, plan.p_rows)
@@ -73,12 +77,20 @@ class PrimitiveTrainer(PitotTrainer):
         return total_loss.item()
 
 
-class UntapedTrainer(PitotTrainer):
-    """Fused kernels with the graph rebuilt every step: the production
-    step after a tape bail-out, run from the first step."""
+def forced_plan(
+    trainer_cls: type[PitotTrainer], sparse: bool | None
+) -> type[PitotTrainer]:
+    """``trainer_cls`` with every step forced onto the batch-sparse
+    (``True``) or the dense (``False``) tower plan; ``None`` keeps the
+    per-step automatic choice and returns ``trainer_cls`` itself."""
+    if sparse is None:
+        return trainer_cls
 
-    def _tape_step(self, *batch):
-        return self._fused_step(*batch)
+    def _plan(self, w_idx, p_idx, interferers):
+        return plan_sparse_batch(w_idx, p_idx, interferers) if sparse else None
+
+    mode = "Sparse" if sparse else "Dense"
+    return type(f"{mode}{trainer_cls.__name__}", (trainer_cls,), {"_plan": _plan})
 
 
 def train_with(

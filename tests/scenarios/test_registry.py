@@ -105,7 +105,8 @@ class TestSpecDerivation:
             get_scenario("paper").scaled(warp_factor=9)
 
     @pytest.mark.parametrize(
-        "knob", ["grad_workers", "fused_kernels", "tape_cache"]
+        "knob",
+        ["grad_workers", "fused_kernels", "tape_cache", "sparse_embeddings"],
     )
     def test_retired_engine_knobs_are_unknown(self, knob):
         with pytest.raises(ValueError, match="unknown scenario knob"):

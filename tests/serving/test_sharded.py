@@ -1,6 +1,8 @@
 """Sharded frontend: routing, bitwise identity, backpressure, teardown."""
 
 import multiprocessing
+import os
+import signal
 import time
 from multiprocessing import shared_memory
 
@@ -261,6 +263,36 @@ class TestLifecycle:
         assert set(multiprocessing.active_children()) <= before
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=published[0])
+
+    def test_dead_worker_fails_fast_and_close_cleans_up(
+        self, calibrated, mini_split
+    ):
+        """A SIGKILLed shard fails the next wait within seconds instead
+        of blocking, and close() joins the rest and reclaims the segment
+        without waiting for the dead shard's goodbye."""
+        before = set(multiprocessing.active_children())
+        service = ShardedPredictionService.from_predictor(
+            calibrated, n_shards=2, start_method="fork"
+        )
+        name = service.state.shared.name
+        victim = service._procs[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        test = mini_split.test
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard 1 exited"):
+            service.predict_bound(
+                test.w_idx, test.p_idx, test.interferers, 0.1
+            )
+        with pytest.raises(RuntimeError, match="shard 1 exited"):
+            service.collect_stats()
+        assert time.monotonic() - started < 5.0
+        started = time.monotonic()
+        assert service.close()["leaked"] == 0
+        assert time.monotonic() - started < 15.0
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
     def test_close_is_idempotent(self, calibrated):
         service = ShardedPredictionService.from_predictor(
