@@ -10,8 +10,10 @@ answer the same 10k-query stream of calibrated bound requests:
 * **snapshot** — :class:`~repro.serving.PredictionService` with the LRU
   disabled: one inference-only gather-and-GEMM forward per shape-stable
   degree batch;
-* **cached** — the service with a warm LRU: repeated
-  ``(workload, platform, interferer-set, ε)`` queries become dict hits.
+* **cached** — the same stream as single-row calls against a warm LRU
+  (the one call shape the LRU serves; a multi-row call never consults
+  it): repeated ``(workload, platform, interferer-set, ε)`` queries
+  become dict hits.
 
 Acceptance: snapshot ≥ 5× cold on the per-query rate, and snapshot
 bounds match the raw predictor's to atol 1e-10.
@@ -26,6 +28,7 @@ from repro.serving import PredictionService
 from repro.eval import format_table
 
 from conftest import emit
+from reference_paths import RowByRowBounds
 
 EPSILON_INDEX = 0  # loosest calibrated ε; any calibrated value works
 N_QUERIES = 10_000
@@ -73,8 +76,8 @@ def test_serving_throughput(benchmark, zoo, scale):
     service.predict_bound(w, p, k, epsilon)
     snapshot_rate = N_QUERIES / (time.perf_counter() - start)
 
-    # Cached: steady state after the LRU has seen the working set.
-    cached = PredictionService.from_predictor(predictor)
+    # Cached: single-row calls once the LRU has seen the working set.
+    cached = RowByRowBounds(PredictionService.from_predictor(predictor))
     cached.predict_bound(w, p, k, epsilon)  # warm
     start = time.perf_counter()
     cached_bounds = cached.predict_bound(w, p, k, epsilon)
@@ -86,7 +89,7 @@ def test_serving_throughput(benchmark, zoo, scale):
             ["cold (per-call model)", f"{cold_rate:,.0f}", "1.0x"],
             ["snapshot (batched)", f"{snapshot_rate:,.0f}",
              f"{snapshot_rate / cold_rate:.1f}x"],
-            ["cached (warm LRU)", f"{cached_rate:,.0f}",
+            ["cached (warm LRU, single-row)", f"{cached_rate:,.0f}",
              f"{cached_rate / cold_rate:.1f}x"],
         ],
         title=f"Serving throughput, {N_QUERIES:,} queries @ eps={epsilon}",
@@ -107,9 +110,7 @@ def test_serving_throughput(benchmark, zoo, scale):
         f"snapshot path {snapshot_rate:,.0f} q/s is not ≥ 5x the cold "
         f"path {cold_rate:,.0f} q/s"
     )
-    np.testing.assert_allclose(
-        snapshot_bounds, cached_bounds, rtol=0, atol=1e-10
-    )
+    np.testing.assert_array_equal(snapshot_bounds, cached_bounds)
 
 
 def test_serving_bounds_match_predictor(benchmark, zoo, scale):
@@ -129,17 +130,18 @@ def test_serving_bounds_match_predictor(benchmark, zoo, scale):
 
 
 def test_serving_cache_steady_state(benchmark, zoo, scale):
-    """A placement-style repeating working set is served from the LRU."""
+    """A repeating working set of single-row calls is served from the LRU."""
     predictor = _calibrated(zoo, scale)
     epsilon = scale.epsilons[EPSILON_INDEX]
     split = zoo.split(scale.fractions[0], 0)
-    # Small working set queried over and over (greedy placement pattern).
+    # Small working set queried over and over, one row per call.
     w, p, k = _query_stream(split, 256, seed=11)
     service = PredictionService.from_predictor(predictor)
-    service.predict_bound(w, p, k, epsilon)  # populate
+    one_row = RowByRowBounds(service)
+    one_row.predict_bound(w, p, k, epsilon)  # populate
 
     benchmark.pedantic(
-        lambda: service.predict_bound(w, p, k, epsilon),
+        lambda: one_row.predict_bound(w, p, k, epsilon),
         rounds=10, iterations=1, warmup_rounds=1,
     )
     assert service.cache.hit_rate > 0.5

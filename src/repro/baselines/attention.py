@@ -38,7 +38,7 @@ class AttentionBaseline(BaselineModel):
         value_dim: int = 8,
         output_hidden: int = 32,
     ) -> None:
-        super().__init__()
+        super().__init__(len(workload_features), len(platform_features))
         self._xw = standardize_features(workload_features)
         self._xp = standardize_features(platform_features)
         self.qk_dim = qk_dim

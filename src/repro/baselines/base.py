@@ -24,9 +24,16 @@ class BaselineModel(Module):
 
     ``train_degrees`` restricts which interference degrees the model
     trains on (the MF baseline discards interference observations).
+    ``n_workloads``/``n_platforms`` are the population, the index ranges
+    a bound query against the model is validated in.
     """
 
     train_degrees: tuple[int, ...] = (1, 2, 3, 4)
+
+    def __init__(self, n_workloads: int, n_platforms: int) -> None:
+        super().__init__()
+        self.n_workloads = n_workloads
+        self.n_platforms = n_platforms
 
     def forward(
         self,

@@ -34,7 +34,7 @@ class MatrixFactorizationBaseline(BaselineModel):
         rank: int = 32,
         init_std: float = 0.1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_workloads, n_platforms)
         self.rank = rank
         self.w_table = EmbeddingTable(n_workloads, rank, rng, std=init_std)
         self.p_table = EmbeddingTable(n_platforms, rank, rng, std=init_std)

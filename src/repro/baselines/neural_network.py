@@ -34,7 +34,7 @@ class NeuralNetworkBaseline(BaselineModel):
         rng: np.random.Generator,
         hidden: tuple[int, ...] = (256, 256),
     ) -> None:
-        super().__init__()
+        super().__init__(len(workload_features), len(platform_features))
         self._xw = standardize_features(workload_features)
         self._xp = standardize_features(platform_features)
         dw, dp = self._xw.shape[1], self._xp.shape[1]

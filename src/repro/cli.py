@@ -39,8 +39,7 @@ import time
 
 import numpy as np
 
-from .cluster import RuntimeDataset
-from .cluster.dataset import MAX_INTERFERERS, pad_interferers
+from .cluster import BoundQuery, RuntimeDataset
 from .core import PAPER_QUANTILES, load_model, save_model
 from .eval import coverage, mape, overprovision_margin
 from .pipeline import (
@@ -757,27 +756,15 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    if not 0 <= args.workload < model.n_workloads:
-        print(f"workload index out of range [0, {model.n_workloads})",
-              file=sys.stderr)
+    try:
+        query = BoundQuery.from_rows(
+            [(args.workload, args.platform, args.interferers or ())], model
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if not 0 <= args.platform < model.n_platforms:
-        print(f"platform index out of range [0, {model.n_platforms})",
-              file=sys.stderr)
-        return 2
-    interferers = None
-    if args.interferers:
-        if len(args.interferers) > MAX_INTERFERERS:
-            print(f"at most {MAX_INTERFERERS} interferers supported",
-                  file=sys.stderr)
-            return 2
-        if not all(0 <= i < model.n_workloads for i in args.interferers):
-            print(f"interferer index out of range [0, {model.n_workloads})",
-                  file=sys.stderr)
-            return 2
-        interferers = pad_interferers([args.interferers])
     runtime = model.predict_runtime(
-        np.array([args.workload]), np.array([args.platform]), interferers
+        query.w_idx, query.p_idx, query.interferers
     )[0]
     print(f"predicted runtime: {runtime:.6f} s")
     return 0
@@ -793,12 +780,11 @@ def _calibrated_service(args, epsilons: tuple[float, ...]) -> PredictionService:
     )
 
 
-def _parse_query_line(line: str, validate):
+def _parse_query_line(line: str):
     """Parse 'workload platform [co-runners...]'; None for comments/blank.
 
-    Range limits are enforced by ``validate`` (the service's
-    ``validate_query``) so the CLI and the queue API share one set of
-    rules across the in-process and sharded front-ends.
+    Range limits are checked when the stream becomes one
+    :class:`~repro.cluster.BoundQuery`, the rule every front-end shares.
     """
     stripped = line.split("#", 1)[0].strip()
     if not stripped:
@@ -807,12 +793,12 @@ def _parse_query_line(line: str, validate):
     if len(parts) < 2:
         raise ValueError(f"need 'workload platform [co-runners...]': {line!r}")
     workload, platform, *co = parts
-    return validate(workload, platform, co)
+    return workload, platform, co
 
 
-def _read_queries(args, validate):
-    """Queries from ``--queries`` or stdin; ``None`` (after printing) on
-    a read or parse failure."""
+def _read_queries(args, population) -> BoundQuery | None:
+    """Queries from ``--queries`` or stdin as one canonical query;
+    ``None`` (after printing) on a read, parse, or range failure."""
     if args.queries:
         try:
             lines = open(args.queries, encoding="utf-8")
@@ -822,19 +808,27 @@ def _read_queries(args, validate):
     else:
         lines = sys.stdin
     try:
-        queries = []
-        for line in lines:
-            try:
-                parsed = _parse_query_line(line, validate)
-            except ValueError as exc:
-                print(f"bad query: {exc}", file=sys.stderr)
-                return None
-            if parsed is not None:
-                queries.append(parsed)
+        rows = [row for row in map(_parse_query_line, lines) if row is not None]
+        return BoundQuery.from_rows(rows, population)
+    except ValueError as exc:
+        print(f"bad query: {exc}", file=sys.stderr)
+        return None
     finally:
         if args.queries:
             lines.close()
-    return queries
+
+
+def _print_bounds(query: BoundQuery, epsilons, bounds: np.ndarray) -> None:
+    """One line per query: its canonical interferer set and its bounds."""
+    for i in range(len(query)):
+        co = query.interferers[i][query.interferers[i] >= 0]
+        co_text = ",".join(map(str, co)) if len(co) else "-"
+        budgets = " ".join(
+            f"bound[eps={eps}]={bounds[i, j]:.6f}s"
+            for j, eps in enumerate(epsilons)
+        )
+        print(f"workload={query.w_idx[i]} platform={query.p_idx[i]} "
+              f"co={co_text} {budgets}")
 
 
 def _check_epsilons(epsilons) -> bool:
@@ -865,23 +859,16 @@ def _cmd_serve(args) -> int:
     if args.shards > 1:
         return _cmd_serve_sharded(args, epsilons)
     service = _calibrated_service(args, epsilons)
-    queries = _read_queries(args, service.validate_query)
-    if queries is None:
+    query = _read_queries(args, service)
+    if query is None:
         return 2
 
     # One shared forward serves every ε (predict_log is ε-independent).
-    w = np.array([q[0] for q in queries], dtype=np.intp)
-    p = np.array([q[1] for q in queries], dtype=np.intp)
-    ints = pad_interferers([co for _, _, co in queries])
-    bounds = service.predict_bound_sweep(w, p, ints, epsilons)
-    for i, (workload, platform, co) in enumerate(queries):
-        budgets = " ".join(
-            f"bound[eps={eps}]={bounds[i, j]:.6f}s"
-            for j, eps in enumerate(epsilons)
-        )
-        co_text = ",".join(map(str, co)) if co else "-"
-        print(f"workload={workload} platform={platform} co={co_text} {budgets}")
-    print(f"served {len(queries)} queries in {service.stats.batches} "
+    bounds = service.predict_bound_sweep(
+        query.w_idx, query.p_idx, query.interferers, epsilons
+    )
+    _print_bounds(query, epsilons, bounds)
+    print(f"served {len(query)} queries in {service.stats.batches} "
           f"batches ({len(epsilons)} epsilon(s) from one forward pass)")
     _print_serving_stats(service.stats.as_dict(), service.generation)
     return 0
@@ -903,25 +890,18 @@ def _cmd_serve_sharded(args, epsilons: tuple[float, ...]) -> int:
         start_method=args.start_method,
     )
     try:
-        queries = _read_queries(args, service.validate_query)
-        if queries is None:
+        query = _read_queries(args, service)
+        if query is None:
             return 2
-        w = np.array([q[0] for q in queries], dtype=np.intp)
-        p = np.array([q[1] for q in queries], dtype=np.intp)
-        ints = pad_interferers([co for _, _, co in queries])
-        per_eps = {
-            eps: service.predict_bound(w, p, ints, eps) for eps in epsilons
-        }
-        for i, (workload, platform, co) in enumerate(queries):
-            budgets = " ".join(
-                f"bound[eps={eps}]={per_eps[eps][i]:.6f}s"
-                for eps in epsilons
+        bounds = np.column_stack([
+            service.predict_bound(
+                query.w_idx, query.p_idx, query.interferers, eps
             )
-            co_text = ",".join(map(str, co)) if co else "-"
-            print(f"workload={workload} platform={platform} co={co_text} "
-                  f"{budgets}")
+            for eps in epsilons
+        ])
+        _print_bounds(query, epsilons, bounds)
         stats = service.collect_stats()
-        print(f"served {len(queries)} queries across {stats.shards} "
+        print(f"served {len(query)} queries across {stats.shards} "
               f"shard(s) in {stats.batches} batches")
         _print_serving_stats(stats.as_dict(), service.generation)
     finally:
@@ -1026,14 +1006,22 @@ def _cmd_bench_serve(args) -> int:
     snapshot_bounds = service.predict_bound(w, p, k, epsilon)
     snapshot_rate = args.n_queries / (time.perf_counter() - start)
 
-    # Cached: steady state once the LRU has seen the working set.
+    # Cached: the same working set as single-row calls (the one call
+    # shape the LRU serves), timed once the LRU has seen it.
     cached_service = PredictionService.from_predictor(predictor)
-    cached_service.predict_bound(w, p, k, epsilon)  # warm
+    singles = [
+        (w[i : i + 1], p[i : i + 1], k[i : i + 1])
+        for i in range(args.n_queries)
+    ]
+    for row in singles:  # warm
+        cached_service.predict_bound(*row, epsilon)
     warm_hits, warm_misses = (
         cached_service.cache.hits, cached_service.cache.misses
     )
     start = time.perf_counter()
-    cached_bounds = cached_service.predict_bound(w, p, k, epsilon)
+    cached_bounds = np.concatenate(
+        [cached_service.predict_bound(*row, epsilon) for row in singles]
+    )
     cached_rate = args.n_queries / (time.perf_counter() - start)
     steady_lookups = (
         cached_service.cache.hits - warm_hits
@@ -1053,12 +1041,12 @@ def _cmd_bench_serve(args) -> int:
     print(f"snapshot batch: {snapshot_rate:12,.0f} q/s "
           f"({snapshot_rate / cold_rate:,.1f}x cold)")
     print(f"cached (LRU):   {cached_rate:12,.0f} q/s "
-          f"({cached_rate / cold_rate:,.1f}x cold, steady-state hit rate "
-          f"{steady_hit_rate:.1%})")
+          f"({cached_rate / cold_rate:,.1f}x cold, single-row calls, "
+          f"steady-state hit rate {steady_hit_rate:.1%})")
     print(f"max |snapshot - model| bound deviation: {max_diff:.2e} s")
-    print(np.allclose(snapshot_bounds, cached_bounds, rtol=0, atol=1e-10)
-          and "cached bounds match snapshot bounds (atol 1e-10)"
-          or "WARNING: cached bounds deviate from snapshot bounds")
+    print("cached bounds match snapshot bounds bitwise"
+          if np.array_equal(snapshot_bounds, cached_bounds)
+          else "WARNING: cached bounds deviate from snapshot bounds")
     return 0
 
 

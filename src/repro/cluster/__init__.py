@@ -15,6 +15,7 @@ from .dataset import (
     DATASET_SCHEMA_VERSION,
     DEGREES,
     MAX_INTERFERERS,
+    BoundQuery,
     RuntimeDataset,
 )
 from .performance import GroundTruthPerformanceModel, PerformanceModelConfig
@@ -36,6 +37,7 @@ __all__ = [
     "make_cluster",
     "synthetic_fleet_dataset",
     "RuntimeDataset",
+    "BoundQuery",
     "DATASET_SCHEMA_VERSION",
     "DEGREES",
     "MAX_INTERFERERS",

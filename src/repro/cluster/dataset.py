@@ -19,6 +19,7 @@ from ..workloads.workload import Workload
 
 __all__ = [
     "RuntimeDataset",
+    "BoundQuery",
     "DATASET_SCHEMA_VERSION",
     "check_schema_version",
     "DEGREES",
@@ -65,8 +66,8 @@ def check_schema_version(
 def pad_interferers(rows: list[tuple[int, ...]] | list[list[int]]) -> np.ndarray:
     """Ragged interferer lists → the dataset's ``-1``-padded matrix.
 
-    The single place that knows the padding convention; shared by the
-    serving queue and the CLI front-ends.
+    The single place that knows the padding convention; shared by
+    :meth:`BoundQuery.from_rows` and the simulator's observation rows.
     """
     out = np.full((len(rows), MAX_INTERFERERS), -1, dtype=np.intp)
     for i, co in enumerate(rows):
@@ -76,6 +77,113 @@ def pad_interferers(rows: list[tuple[int, ...]] | list[list[int]]) -> np.ndarray
             )
         out[i, : len(co)] = co
     return out
+
+
+def _check_range(
+    field: str, values: np.ndarray, limit: int, padded: bool = False
+) -> None:
+    """Raise naming ``field`` unless every value is in ``[0, limit)`` or,
+    when ``padded``, is the ``-1`` padding sentinel."""
+    # One unsigned compare catches both ends: negatives wrap to huge.
+    shifted = values + 1 if padded else values
+    bad = shifted.view(np.uintp) >= limit + padded
+    if bad.any():
+        raise ValueError(
+            f"{field} {int(values[bad][0])} out of range [0, {limit})"
+        )
+
+
+@dataclass(frozen=True)
+class BoundQuery:
+    """A batch of bound queries in canonical form, validated once.
+
+    A served bound should be a function of (workload, platform,
+    interferer *set*, ε), but the forward's last bits are not: the
+    interference GEMM's shape follows the padded width and the
+    interference sum runs in row order. Every bound entry point therefore
+    builds one of these first — interferers sorted ascending and
+    ``-1``-padded (padding trailing) to :data:`MAX_INTERFERERS` — so a
+    query returns the same bits whatever its order, padding, or entry
+    point. Subsets of a canonical query stay canonical (:meth:`take`).
+
+    ``population`` is whatever serves the bound: any object with
+    ``n_workloads`` and ``n_platforms`` (a model, snapshot, or service).
+    Failures raise ``ValueError`` naming the offending field.
+    """
+
+    w_idx: np.ndarray  #: (n,) intp workload indices
+    p_idx: np.ndarray  #: (n,) intp platform indices
+    interferers: np.ndarray  #: (n, MAX_INTERFERERS) intp, canonical
+
+    def __len__(self) -> int:
+        return len(self.w_idx)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        w_idx: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+        population,
+    ) -> "BoundQuery":
+        """Validate and canonicalize array queries.
+
+        ``interferers`` is ``None`` (isolation) or ``(n, K)`` for any
+        ``K``, with ``-1`` as padding anywhere in a row; at most
+        :data:`MAX_INTERFERERS` entries per row may be real.
+        """
+        w = np.asarray(w_idx, dtype=np.intp)
+        p = np.asarray(p_idx, dtype=np.intp)
+        n = len(w)
+        if len(p) != n:
+            raise ValueError(f"p_idx has {len(p)} rows for {n} queries")
+        n_workloads = population.n_workloads
+        _check_range("workload", w, n_workloads)
+        _check_range("platform", p, population.n_platforms)
+        if interferers is None:
+            return cls(w, p, np.full((n, MAX_INTERFERERS), -1, dtype=np.intp))
+        co = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
+        if len(co) != n:
+            raise ValueError(
+                f"interferers has {len(co)} rows for {n} queries"
+            )
+        _check_range("interferer", co, n_workloads, padded=True)
+        # As unsigned, the -1 padding is the largest value: one ascending
+        # sort puts each row's indices first, in order, and padding last.
+        co = np.sort(co.view(np.uintp), axis=1).view(np.intp)
+        width = co.shape[1]
+        if width > MAX_INTERFERERS:
+            over = co[:, MAX_INTERFERERS] != -1
+            if over.any():
+                raise ValueError(
+                    f"at most {MAX_INTERFERERS} interferers supported, "
+                    f"got {int((co[over][0] != -1).sum())}"
+                )
+            return cls(w, p, np.ascontiguousarray(co[:, :MAX_INTERFERERS]))
+        if width < MAX_INTERFERERS:
+            out = np.full((n, MAX_INTERFERERS), -1, dtype=np.intp)
+            out[:, :width] = co
+            co = out
+        return cls(w, p, co)
+
+    @classmethod
+    def from_rows(cls, rows, population) -> "BoundQuery":
+        """Validate and canonicalize ragged ``(workload, platform, co)``
+        rows (CLI lines, single submissions); ``-1`` in ``co`` is
+        padding and is dropped."""
+        rows = list(rows)
+        return cls.from_arrays(
+            np.array([row[0] for row in rows], dtype=np.intp),
+            np.array([row[1] for row in rows], dtype=np.intp),
+            pad_interferers([[c for c in row[2] if c != -1] for row in rows]),
+            population,
+        )
+
+    def take(self, rows: np.ndarray) -> "BoundQuery":
+        """The canonical sub-query of ``rows``."""
+        return BoundQuery(
+            self.w_idx[rows], self.p_idx[rows], self.interferers[rows]
+        )
 
 
 @dataclass

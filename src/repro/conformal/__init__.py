@@ -23,7 +23,6 @@ from .predictor import (
     HeadOffsetTable,
     calibration_pools,
     interference_pools,
-    resolve_head_offsets,
 )
 from .split import conformal_offset, conformal_offsets_by_pool
 
@@ -44,5 +43,4 @@ __all__ = [
     "margin_offsets_by_pool",
     "propensity_weights",
     "recency_weights",
-    "resolve_head_offsets",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.dataset import RuntimeDataset
+from ..cluster.dataset import BoundQuery, RuntimeDataset
 from ..eval.metrics import overprovision_margin
 from .margins import (
     MarginParams,
@@ -43,7 +43,7 @@ __all__ = [
     "HeadOffsetTable",
     "calibration_pools",
     "interference_pools",
-    "resolve_head_offsets",
+    "require_calibrated",
 ]
 
 
@@ -77,45 +77,35 @@ def calibration_pools(
     return interference_pools(interferers, n)
 
 
-def resolve_head_offsets(
+def require_calibrated(
     choices: dict[tuple[float, int], HeadChoice],
     epsilon: float,
-    pools: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (head, offset) lookup per query row.
+    error: type[Exception] = RuntimeError,
+) -> float:
+    """``epsilon`` as a float; raises ``error`` if it was never calibrated.
 
-    Maps each row's pool to its calibrated :class:`HeadChoice` (falling
-    back to the global pool ``-1``) without a per-row Python loop, so the
-    serving layer can resolve large batches in O(unique pools) dict work.
-    Raises when ``epsilon`` was never calibrated.
+    The one uncalibrated-ε check: :class:`HeadOffsetTable` runs it when a
+    bound path first resolves ε (before any forward), and the sharded
+    router runs it before the cross-process hop.
     """
+    epsilon = float(epsilon)
     if (epsilon, -1) not in choices:
-        calibrated = sorted({eps for eps, _ in choices})
-        raise RuntimeError(
-            f"predictor not calibrated for epsilon={epsilon}; "
-            f"calibrated: {calibrated}"
+        calibrated = sorted({eps for eps, pool in choices if pool == -1})
+        raise error(
+            f"not calibrated for epsilon={epsilon}; calibrated: {calibrated}"
         )
-    fallback = choices[(epsilon, -1)]
-    unique = np.unique(pools)
-    u_heads = np.empty(len(unique), dtype=np.intp)
-    u_offsets = np.empty(len(unique))
-    for i, pool in enumerate(unique):
-        choice = choices.get((epsilon, int(pool)), fallback)
-        u_heads[i] = choice.head
-        u_offsets[i] = choice.offset
-    position = np.searchsorted(unique, pools)
-    return u_heads[position], u_offsets[position]
+    return epsilon
 
 
 class HeadOffsetTable:
     """Dense per-ε ``pool → (head, offset)`` lookup tables.
 
-    :func:`resolve_head_offsets` re-derives the unique-pool decomposition
-    on *every* query batch. Pool ids are tiny non-negative integers
-    (interference degree ≤ 4, or 0 under global calibration), so the
-    whole mapping fits in two short arrays per ε — built once per
-    calibration, after which a batch resolve is two fancy-indexed
-    gathers with no ``np.unique`` scan and no Python loop.
+    Pool ids are tiny non-negative integers (interference degree ≤ 4, or
+    0 under global calibration), so the whole mapping fits in two short
+    arrays per ε — built once per calibration, after which a batch
+    resolve is two fancy-indexed gathers with no ``np.unique`` scan and
+    no Python loop. Each pool falls back to the global pool ``-1`` when
+    it has no calibration of its own.
 
     The table snapshots ``choices`` lazily per ε; owners (predictor /
     serving state) must discard it whenever ``choices`` is replaced.
@@ -126,12 +116,7 @@ class HeadOffsetTable:
         self._per_eps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def _build(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        if (epsilon, -1) not in self._choices:
-            calibrated = sorted({eps for eps, _ in self._choices})
-            raise RuntimeError(
-                f"predictor not calibrated for epsilon={epsilon}; "
-                f"calibrated: {calibrated}"
-            )
+        require_calibrated(self._choices, epsilon)
         fallback = self._choices[(epsilon, -1)]
         pool_ids = [
             pool
@@ -152,7 +137,10 @@ class HeadOffsetTable:
     def resolve(
         self, epsilon: float, pools: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (head, offset) per query row; fallback for unknowns."""
+        """Vectorized (head, offset) per query row; fallback for unknowns.
+
+        Raises ``RuntimeError`` if ``epsilon`` was never calibrated.
+        """
         table = self._per_eps.get(epsilon)
         if table is None:
             table = self._build(epsilon)
@@ -164,7 +152,7 @@ class HeadOffsetTable:
         oob = pools >= size
         if oob.any():
             # Any pool past the table is by construction uncalibrated →
-            # global fallback, same as resolve_head_offsets.
+            # global fallback.
             fallback = self._choices[(epsilon, -1)]
             heads[oob] = fallback.head
             offsets[oob] = fallback.offset
@@ -339,24 +327,22 @@ class ConformalRuntimePredictor:
         interferers: np.ndarray | None,
         epsilon: float,
     ) -> np.ndarray:
-        """Runtime budgets (seconds) with ``Pr(C* > bound) ≤ ε``."""
-        if (epsilon, -1) not in self.choices:
-            # Guard before the model forward: the error path must not pay
-            # a full prediction pass.
-            raise RuntimeError(
-                f"predictor not calibrated for epsilon={epsilon}; "
-                f"calibrated: {self._calibrated_epsilons}"
-            )
-        pred = self.model.predict_log(w_idx, p_idx, interferers)
-        pools = self.pools_for(interferers, len(pred))
+        """Runtime budgets (seconds) with ``Pr(C* > bound) ≤ ε``.
+
+        The query is validated against the model's population and put in
+        canonical form first (:class:`~repro.cluster.BoundQuery`), so a
+        bound is bitwise the same for any interferer order or padding;
+        ε resolves before the forward, so an uncalibrated ε costs none.
+        """
+        query = BoundQuery.from_arrays(w_idx, p_idx, interferers, self.model)
+        pools = calibration_pools(query.interferers, len(query), self.use_pools)
         if self._table is None:
             self._table = HeadOffsetTable(self._choices)
-        heads, offsets = self._table.resolve(epsilon, pools)
-        return np.exp(pred[np.arange(len(pred)), heads] + offsets)
-
-    def pools_for(self, interferers: np.ndarray | None, n: int) -> np.ndarray:
-        """Per-row calibration pool ids honoring ``use_pools``."""
-        return calibration_pools(interferers, n, self.use_pools)
+        heads, offsets = self._table.resolve(float(epsilon), pools)
+        pred = self.model.predict_log(
+            query.w_idx, query.p_idx, query.interferers
+        )
+        return np.exp(pred[np.arange(len(query)), heads] + offsets)
 
     def predict_bound_dataset(
         self, ds: RuntimeDataset, epsilon: float

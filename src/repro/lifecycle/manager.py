@@ -121,8 +121,6 @@ class LifecycleManager:
         Per-pool rolling-window capacity of the observation buffer.
     epsilons:
         Miscoverage grid recalibrations maintain.
-    cache_size:
-        Serving LRU capacity.
     """
 
     def __init__(
@@ -133,7 +131,6 @@ class LifecycleManager:
         trainer_config=None,
         window: int = 2000,
         epsilons: tuple[float, ...] = (0.1,),
-        cache_size: int = 65536,
     ) -> None:
         from ..serving.service import PredictionService
 
@@ -149,7 +146,6 @@ class LifecycleManager:
             EmbeddingSnapshot.from_model(model),
             choices=predictor.choices,
             use_pools=predictor.use_pools,
-            cache_size=cache_size,
         )
 
     @property
@@ -334,8 +330,8 @@ def run_lifecycle(
         interferers = trace.interferers[rows]
         runtime = trace.runtime[rows]
         # Score first, ingest second: each event is judged by the
-        # generation that was serving when it arrived. Sweeps bypass the
-        # LRU, so replay scoring leaves planner caches untouched.
+        # generation that was serving when it arrived. Multi-row calls
+        # bypass the LRU, so replay scoring leaves planner caches untouched.
         adaptive = manager.service.predict_bound_sweep(
             w, p, interferers, (epsilon,)
         )[:, 0]

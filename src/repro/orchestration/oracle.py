@@ -63,7 +63,10 @@ class BudgetOracle:
         ``predict_bound(w_idx, p_idx, interferers, epsilon) → seconds``
         provider — a :class:`~repro.serving.PredictionService`, a
         :class:`~repro.conformal.ConformalRuntimePredictor`, or any
-        test stub speaking the same protocol.
+        test stub speaking the same protocol. The provider builds the
+        canonical :class:`~repro.cluster.BoundQuery` (it knows the
+        population), so a malformed row raises ``ValueError`` there;
+        the oracle only pads rows and never truncates one.
     epsilon:
         Miscoverage rate baked into every budget this oracle quotes.
     """
@@ -79,10 +82,14 @@ class BudgetOracle:
     # ------------------------------------------------------------------
     def budgets(self, rows: list[_Row]) -> np.ndarray:
         """ε-budgets (seconds) for a list of (workload, platform, co) rows,
-        scored in one ``predict_bound`` batch."""
+        scored in one ``predict_bound`` batch.
+
+        A row with more than ``MAX_INTERFERERS`` co-residents raises
+        ``ValueError``: it has no calibrated bound.
+        """
         if not rows:
             return np.empty(0)
-        interferers = pad_interferers([tuple(co)[:3] for _, _, co in rows])
+        interferers = pad_interferers([co for _, _, co in rows])
         w = np.array([row[0] for row in rows], dtype=np.intp)
         p = np.array([row[1] for row in rows], dtype=np.intp)
         return np.asarray(

@@ -985,9 +985,7 @@ class PipelineResult:
         """
         return PitotTrainer(self.training.model, self.spec.trainer)
 
-    def service(
-        self, cache_size: int = 65536, max_batch: int = 8192
-    ) -> "PredictionService":
+    def service(self) -> "PredictionService":
         """A calibrated :class:`~repro.serving.PredictionService`.
 
         Built from the snapshot stage's frozen embeddings plus the
@@ -1000,13 +998,9 @@ class PipelineResult:
             self.snapshot,
             choices=self.predictor.choices,
             use_pools=self.predictor.use_pools,
-            cache_size=cache_size,
-            max_batch=max_batch,
         )
 
-    def recalibrated_service(
-        self, cache_size: int = 65536, max_batch: int = 8192
-    ) -> "PredictionService":
+    def recalibrated_service(self) -> "PredictionService":
         """Serving state for the post-lifecycle generation.
 
         Built from the ``update`` stage's warm-updated model and the
@@ -1025,8 +1019,6 @@ class PipelineResult:
             EmbeddingSnapshot.from_model(self.lifecycle.model),
             choices=self.recalibrated.choices,
             use_pools=self.recalibrated.use_pools,
-            cache_size=cache_size,
-            max_batch=max_batch,
         )
 
 

@@ -5,9 +5,11 @@ calibrated runtime budgets for *any* ε without retraining (Sec 3.5) —
 which only pays off if queries are cheap at serving time. This package
 provides that cheap path: :class:`PredictionService` freezes trained
 embeddings into an :class:`~repro.core.EmbeddingSnapshot` (no autograd
-tape, no tower recomputation), micro-batches queries into shape-stable
-per-interference-degree groups, and memoizes repeated
-``(workload, platform, interferer-set, ε)`` bounds in a bounded LRU.
+tape, no tower recomputation), builds every bound query into one
+canonical :class:`~repro.cluster.BoundQuery` (so a bound is bitwise the
+same for any interferer order, padding, or entry point), runs it through
+shape-stable per-interference-degree batches, and memoizes single-row
+calls in a bounded LRU keyed by the canonical row and ε.
 
 The service speaks both sides of the existing protocols — it exposes
 ``predict_log`` (so :class:`~repro.conformal.ConformalRuntimePredictor`
@@ -29,7 +31,6 @@ from .service import (
     ServiceStats,
     ServingState,
     validate_choice_heads,
-    validate_query,
 )
 from .sharded import (
     ShardBusy,
@@ -52,5 +53,4 @@ __all__ = [
     "attach_snapshot",
     "shard_ids",
     "validate_choice_heads",
-    "validate_query",
 ]

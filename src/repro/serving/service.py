@@ -1,4 +1,4 @@
-"""The prediction service: snapshot forward + micro-batching + LRU.
+"""The prediction service: snapshot forward, one bound path, single-row LRU.
 
 Serving cost model (why each piece exists):
 
@@ -6,16 +6,21 @@ Serving cost model (why each piece exists):
   engine on *every* call — training-time cost per query. The
   :class:`~repro.core.EmbeddingSnapshot` pays that cost once and serves
   every subsequent query with one gather-and-GEMM forward.
-* Orchestration consumers (placement sweeps, admission storms) issue
-  many small queries of mixed interference degree. Grouping them into
+* Every bound query is first built into a canonical
+  :class:`~repro.cluster.BoundQuery` (validated against the snapshot's
+  population, interferers sorted and ``-1``-padded to a fixed width), so
+  a bound is a pure function of (generation, workload, platform,
+  interferer set, ε): bitwise the same for any order, padding, entry
+  point, or cache hit.
+* Orchestration consumers (placement scans, admission storms) issue
+  small batches of mixed interference degree. Grouping them into
   shape-stable per-degree batches keeps the interference term off the
   isolation queries and the GEMMs fat.
-* The same ``(workload, platform, interferer-set, ε)`` bound is asked
-  for repeatedly (greedy placement revalidates co-residents on every
-  candidate platform), so a bounded LRU turns the steady state into
-  dictionary lookups. Interferer sets are canonicalized to sorted order:
-  the interference sum is commutative over interferers, so permutations
-  share one entry.
+* A bounded LRU serves the one call shape where it measured a win:
+  single-row calls (the sharded ``submit`` path), keyed by the canonical
+  row and ε. A call on more than one row computes every row and stores
+  nothing — a per-row dictionary walk costs more than the batched
+  forward it would skip.
 
 Continual-learning contract (why :class:`ServingState` exists):
 
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.dataset import MAX_INTERFERERS, pad_interferers
+from ..cluster.dataset import BoundQuery
 from ..conformal.predictor import (
     ConformalRuntimePredictor,
     HeadChoice,
@@ -53,52 +58,14 @@ __all__ = [
     "BoundCache",
     "ServiceStats",
     "ServingState",
-    "validate_query",
     "validate_choice_heads",
 ]
 
-#: Cache key: (workload, platform, sorted interferer tuple, epsilon).
+#: Cache key: (workload, platform, canonical interferer row, epsilon).
 _Key = tuple[int, int, tuple[int, ...], float]
 
-
-def validate_query(
-    workload: int,
-    platform: int,
-    interferers: tuple[int, ...] | list[int],
-    n_workloads: int,
-    n_platforms: int,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Range-check one query against the population limits.
-
-    Raises ``ValueError`` naming the offending field; returns the
-    canonicalized ``(workload, platform, co)`` triple with the dataset's
-    ``-1`` padding sentinel stripped. Any other negative index is
-    rejected as a typo rather than silently served as isolation.
-
-    Module-level so every front-end — the in-process service, the
-    sharded router (which validates *before* paying a cross-process
-    hop), and the CLI — shares one set of rules.
-    """
-    co = tuple(int(x) for x in interferers if int(x) != -1)
-    if len(co) > MAX_INTERFERERS:
-        raise ValueError(
-            f"at most {MAX_INTERFERERS} interferers supported, got {len(co)}"
-        )
-    workload, platform = int(workload), int(platform)
-    if not 0 <= workload < n_workloads:
-        raise ValueError(
-            f"workload {workload} out of range [0, {n_workloads})"
-        )
-    if not 0 <= platform < n_platforms:
-        raise ValueError(
-            f"platform {platform} out of range [0, {n_platforms})"
-        )
-    for runner in co:
-        if not 0 <= runner < n_workloads:
-            raise ValueError(
-                f"interferer {runner} out of range [0, {n_workloads})"
-            )
-    return workload, platform, co
+#: Upper bound on rows per shape-stable sub-batch of the forward.
+MAX_BATCH = 8192
 
 
 def validate_choice_heads(
@@ -160,9 +127,6 @@ class BoundCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -185,12 +149,11 @@ class ServiceStats:
     submissions were rejected with backpressure.
     """
 
-    queries: int = 0  #: bound queries received (rows, not calls)
+    queries: int = 0  #: bound queries received (rows × ε, not calls)
     rows_computed: int = 0  #: rows that reached the snapshot forward
     batches: int = 0  #: shape-stable sub-batches executed
-    flushes: int = 0  #: micro-batch queue drains
-    cache_hits: int = 0  #: memoized bound lookups served from the LRU
-    cache_misses: int = 0  #: lookups that fell through to the snapshot
+    cache_hits: int = 0  #: bounds served from the LRU (single-row calls)
+    cache_misses: int = 0  #: bounds computed (every multi-row bound counts)
     swaps: int = 0  #: generation promotions (swap/refresh)
     invalidations: int = 0  #: cache invalidation events (one per swap)
     shards: int = 1  #: serving replicas behind this front-end
@@ -215,7 +178,6 @@ class ServiceStats:
             "queries": self.queries,
             "rows_computed": self.rows_computed,
             "batches": self.batches,
-            "flushes": self.flushes,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "hit_rate": self.hit_rate,
@@ -255,14 +217,6 @@ class ServingState:
             object.__setattr__(self, "table", HeadOffsetTable(self.choices))
 
 
-@dataclass(frozen=True)
-class _PendingQuery:
-    workload: int
-    platform: int
-    interferers: tuple[int, ...]
-    epsilon: float
-
-
 class PredictionService:
     """Batched, cached serving front-end over a trained Pitot model.
 
@@ -289,9 +243,8 @@ class PredictionService:
         Whether bounds use per-degree calibration pools (must match the
         calibration that produced ``choices``).
     cache_size:
-        LRU capacity in entries; 0 disables memoization.
-    max_batch:
-        Upper bound on rows per shape-stable sub-batch.
+        LRU capacity in entries for single-row calls; 0 disables
+        memoization.
     """
 
     def __init__(
@@ -300,10 +253,7 @@ class PredictionService:
         choices: dict[tuple[float, int], HeadChoice] | None = None,
         use_pools: bool = True,
         cache_size: int = 65536,
-        max_batch: int = 8192,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self._state = ServingState(
             snapshot=snapshot,
             choices=dict(choices or {}),
@@ -311,9 +261,7 @@ class PredictionService:
             cache=BoundCache(cache_size),
             generation=0,
         )
-        self.max_batch = max_batch
         self.stats = ServiceStats()
-        self._queue: list[_PendingQuery] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -323,7 +271,6 @@ class PredictionService:
         cls,
         predictor: ConformalRuntimePredictor,
         cache_size: int = 65536,
-        max_batch: int = 8192,
     ) -> "PredictionService":
         """Snapshot a calibrated predictor's model and adopt its choices."""
         return cls(
@@ -331,7 +278,6 @@ class PredictionService:
             choices=predictor.choices,
             use_pools=predictor.use_pools,
             cache_size=cache_size,
-            max_batch=max_batch,
         )
 
     @classmethod
@@ -342,8 +288,6 @@ class PredictionService:
         epsilons: tuple[float, ...] = (0.1, 0.05, 0.01),
         strategy: str | None = None,
         use_pools: bool = True,
-        cache_size: int = 65536,
-        max_batch: int = 8192,
     ) -> "PredictionService":
         """Calibrate ``model`` on ``calibration`` and wrap it for serving.
 
@@ -356,9 +300,7 @@ class PredictionService:
         predictor = ConformalRuntimePredictor(
             model, quantiles=quantiles, strategy=strategy, use_pools=use_pools
         ).calibrate(calibration, epsilons=epsilons)
-        return cls.from_predictor(
-            predictor, cache_size=cache_size, max_batch=max_batch
-        )
+        return cls.from_predictor(predictor)
 
     # ------------------------------------------------------------------
     # State access (delegates to the current generation)
@@ -488,36 +430,37 @@ class PredictionService:
         shape-stable batches; results are scattered back to input order
         and match :meth:`PitotModel.predict_log` bitwise.
         """
-        return self._predict_log(self._state, w_idx, p_idx, interferers)
+        w_idx = np.asarray(w_idx, dtype=np.intp)
+        p_idx = np.asarray(p_idx, dtype=np.intp)
+        if interferers is not None:
+            interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
+            if len(interferers) != len(w_idx):
+                # The raw model raises for this shape mismatch; silently
+                # scattering would leave uninitialized output rows.
+                raise ValueError(
+                    f"interferers has {len(interferers)} rows for "
+                    f"{len(w_idx)} queries"
+                )
+        return self._forward(self._state, w_idx, p_idx, interferers)
 
-    def _predict_log(
+    def _forward(
         self,
         state: ServingState,
         w_idx: np.ndarray,
         p_idx: np.ndarray,
-        interferers: np.ndarray | None = None,
+        interferers: np.ndarray | None,
     ) -> np.ndarray:
         """The forward under one captured generation (see module docs)."""
-        w_idx = np.asarray(w_idx, dtype=np.intp)
-        p_idx = np.asarray(p_idx, dtype=np.intp)
-        n = len(w_idx)
-        if interferers is not None:
-            interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-            if len(interferers) != n:
-                # The raw model raises for this shape mismatch; silently
-                # scattering would leave uninitialized output rows.
-                raise ValueError(
-                    f"interferers has {len(interferers)} rows for {n} queries"
-                )
         snapshot = state.snapshot
+        n = len(w_idx)
         out = np.empty((n, snapshot.config.n_heads))
         for rows, sub_interferers in self._degree_groups(interferers, n):
-            for lo in range(0, len(rows), self.max_batch):
-                batch = rows[lo : lo + self.max_batch]
+            for lo in range(0, len(rows), MAX_BATCH):
+                batch = rows[lo : lo + MAX_BATCH]
                 batch_int = (
                     None
                     if sub_interferers is None
-                    else sub_interferers[lo : lo + self.max_batch]
+                    else sub_interferers[lo : lo + MAX_BATCH]
                 )
                 out[batch] = snapshot.forward(
                     w_idx[batch], p_idx[batch], batch_int
@@ -529,8 +472,7 @@ class PredictionService:
     def _degree_groups(self, interferers: np.ndarray | None, n: int):
         """Yield ``(row_indices, interferer_rows | None)`` per degree.
 
-        ``interferers`` is already normalized to an ``(n, K)`` matrix by
-        :meth:`predict_log`.
+        ``interferers`` is already an ``(n, K)`` matrix or ``None``.
         """
         if interferers is None:
             yield np.arange(n), None
@@ -551,7 +493,7 @@ class PredictionService:
         return np.exp(self.predict_log(w_idx, p_idx, interferers)[:, head])
 
     # ------------------------------------------------------------------
-    # Bound protocol: predict_bound (memoized)
+    # Bound protocol: one canonical query, one compute path
     # ------------------------------------------------------------------
     def predict_bound(
         self,
@@ -562,105 +504,19 @@ class PredictionService:
     ) -> np.ndarray:
         """Runtime budgets (seconds) with ``Pr(C* > bound) ≤ ε``.
 
-        Matches :meth:`ConformalRuntimePredictor.predict_bound` on the
-        wrapped model to within floating-point commutativity of the
-        interferer sum (≪ 1e-10). The whole call runs under one captured
+        The one-ε column of :meth:`predict_bound_sweep`. Bitwise equal to
+        :meth:`ConformalRuntimePredictor.predict_bound` on the wrapped
+        model, and to itself under any interferer order or padding, from
+        the LRU or not. The whole call runs under one captured
         generation: a concurrent :meth:`swap` affects only calls that
         start after it.
         """
-        return self._predict_bound(
-            self._state, w_idx, p_idx, interferers, epsilon
-        )
-
-    def _predict_bound(
-        self,
-        state: ServingState,
-        w_idx: np.ndarray,
-        p_idx: np.ndarray,
-        interferers: np.ndarray | None,
-        epsilon: float,
-    ) -> np.ndarray:
-        w_idx = np.asarray(w_idx, dtype=np.intp)
-        p_idx = np.asarray(p_idx, dtype=np.intp)
-        n = len(w_idx)
-        epsilon = float(epsilon)
-        if (epsilon, -1) not in state.choices:
-            raise RuntimeError(
-                f"service not calibrated for epsilon={epsilon}; "
-                f"calibrated: {sorted({e for e, p in state.choices if p == -1})}"
-            )
-        rows_int = (
-            None
-            if interferers is None
-            else np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-        )
-        if rows_int is not None and len(rows_int) != n:
-            raise ValueError(
-                f"interferers has {len(rows_int)} rows for {n} queries"
-            )
-        self.stats.queries += n
-
-        cache = state.cache
-        bounds = np.empty(n)
-        if cache.capacity == 0:
-            self.stats.cache_misses += n
-            misses = np.arange(n)
-        else:
-            keys = [
-                self._key(w_idx[i], p_idx[i], rows_int, i, epsilon)
-                for i in range(n)
-            ]
-            miss_list = []
-            for i, key in enumerate(keys):
-                cached = cache.get(key)
-                if cached is None:
-                    miss_list.append(i)
-                else:
-                    bounds[i] = cached
-            self.stats.cache_hits += n - len(miss_list)
-            self.stats.cache_misses += len(miss_list)
-            if not miss_list:
-                return bounds
-            misses = np.asarray(miss_list, dtype=np.intp)
-
-        sub_int = None if rows_int is None else rows_int[misses]
-        pred = self._predict_log(state, w_idx[misses], p_idx[misses], sub_int)
-        pools = calibration_pools(sub_int, len(misses), state.use_pools)
-        heads, offsets = state.table.resolve(epsilon, pools)
-        fresh = np.exp(pred[np.arange(len(misses)), heads] + offsets)
-        bounds[misses] = fresh
-        if cache.capacity > 0:
-            # Writes go to the *captured* generation's cache: if a swap
-            # landed mid-computation these entries are orphaned with it,
-            # never served against the new snapshot.
-            for i, value in zip(misses, fresh):
-                cache.put(keys[i], float(value))
-        return bounds
-
-    @staticmethod
-    def _key(
-        workload: np.intp,
-        platform: np.intp,
-        interferers: np.ndarray | None,
-        row: int,
-        epsilon: float,
-    ) -> _Key:
-        if interferers is None:
-            co = ()
-        else:
-            co = tuple(sorted(int(x) for x in interferers[row] if x >= 0))
-        return (int(workload), int(platform), co, epsilon)
+        bounds = self.predict_bound_sweep(w_idx, p_idx, interferers, (epsilon,))
+        return bounds[:, 0]
 
     def predict_bound_dataset(self, ds, epsilon: float) -> np.ndarray:
-        """Bounds for every row of a dataset.
-
-        Bulk one-shot scoring: routed through the cache-bypassing sweep
-        so a large dataset neither pays per-row key building nor evicts
-        the hot working set that planner queries rely on.
-        """
-        return self.predict_bound_sweep(
-            ds.w_idx, ds.p_idx, ds.interferers, (epsilon,)
-        )[:, 0]
+        """Bounds for every row of a dataset."""
+        return self.predict_bound(ds.w_idx, ds.p_idx, ds.interferers, epsilon)
 
     def predict_bound_sweep(
         self,
@@ -673,113 +529,67 @@ class PredictionService:
 
         The paper's "one model, any ε" story in one call: the embedding
         forward is ε-independent, so it runs once and each ε only pays
-        the vectorized head/offset resolution. Bypasses the LRU (sweeps
-        are one-shot by nature); column *j* equals
+        the vectorized head/offset resolution. Column *j* equals
         ``predict_bound(..., epsilons[j])`` exactly.
         """
         state = self._state
-        w_idx = np.asarray(w_idx, dtype=np.intp)
-        p_idx = np.asarray(p_idx, dtype=np.intp)
-        n = len(w_idx)
-        epsilons = tuple(float(eps) for eps in epsilons)
-        calibrated = sorted({e for e, p in state.choices if p == -1})
-        for eps in epsilons:
-            if (eps, -1) not in state.choices:
-                raise RuntimeError(
-                    f"service not calibrated for epsilon={eps}; "
-                    f"calibrated: {calibrated}"
-                )
-        self.stats.queries += n * len(epsilons)
-        pred = self._predict_log(state, w_idx, p_idx, interferers)
-        pools = calibration_pools(interferers, n, state.use_pools)
-        out = np.empty((n, len(epsilons)))
-        for j, eps in enumerate(epsilons):
-            heads, offsets = state.table.resolve(eps, pools)
-            out[:, j] = np.exp(pred[np.arange(n), heads] + offsets)
-        return out
+        query = BoundQuery.from_arrays(w_idx, p_idx, interferers, state.snapshot)
+        return self._bounds(state, query, epsilons)
 
-    # ------------------------------------------------------------------
-    # Micro-batch queue
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        workload: int,
-        platform: int,
-        interferers: tuple[int, ...] | list[int] = (),
-        epsilon: float = 0.05,
-    ) -> int:
-        """Enqueue one bound query; returns its ticket (flush position).
+    def serve_query(
+        self, query: BoundQuery, epsilons: tuple[float, ...]
+    ) -> np.ndarray:
+        """:meth:`predict_bound_sweep` for an already-built query.
 
-        Queries are fully validated here — indices *and* ε — so a bad
-        one is rejected at submission instead of poisoning the whole
-        flush.
+        The shard workers' entry: the sharded router validated and
+        canonicalized the query before the cross-process hop.
         """
-        workload, platform, co = self.validate_query(
-            workload, platform, interferers
-        )
-        epsilon = float(epsilon)
-        if (epsilon, -1) not in self.choices:
-            raise ValueError(
-                f"service not calibrated for epsilon={epsilon}; "
-                f"calibrated: {list(self.calibrated_epsilons)}"
+        return self._bounds(self._state, query, epsilons)
+
+    def _bounds(
+        self,
+        state: ServingState,
+        query: BoundQuery,
+        epsilons: tuple[float, ...],
+    ) -> np.ndarray:
+        """The one compute path, under one captured generation.
+
+        A call on more than one row computes every row and stores
+        nothing. A one-row call is answered from the generation's LRU
+        when every ε hits (a generation stores bounds only for ε it
+        resolved), and otherwise computes and stores. Every ε resolves
+        before the forward, so an uncalibrated ε fails without paying one.
+        """
+        n = len(query)
+        cache = state.cache
+        keys: list[_Key] = []
+        hits = 0
+        if n == 1 and cache.capacity:
+            row = (
+                int(query.w_idx[0]),
+                int(query.p_idx[0]),
+                tuple(query.interferers[0].tolist()),
             )
-        self._queue.append(
-            _PendingQuery(workload, platform, co, epsilon)
-        )
-        return len(self._queue) - 1
-
-    def validate_query(
-        self,
-        workload: int,
-        platform: int,
-        interferers: tuple[int, ...] | list[int] = (),
-    ) -> tuple[int, int, tuple[int, ...]]:
-        """Range-check one query; raises ``ValueError`` with a message
-        naming the offending field. Returns the canonicalized
-        ``(workload, platform, co)`` triple (``-1`` padding stripped).
-
-        Shared by :meth:`submit` and front-ends (the CLI ``serve``
-        command) so the limits live in one place; delegates to the
-        module-level :func:`validate_query` the sharded router also uses.
-        """
-        return validate_query(
-            workload, platform, interferers, self.n_workloads, self.n_platforms
-        )
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def flush(self) -> np.ndarray:
-        """Serve every queued query in one batched pass per ε group.
-
-        Returns bounds (seconds) aligned with submission tickets. The
-        whole flush runs under one captured generation, so mixed-ε
-        drains cannot straddle a concurrent swap. The queue is cleared
-        only on success: if serving fails (e.g. a ``refresh`` dropped an
-        ε that was calibrated at submit time) the queue is restored
-        intact, so no accepted ticket is lost.
-        """
-        state = self._state
-        queue, self._queue = self._queue, []
-        try:
-            results = np.empty(len(queue))
-            by_epsilon: dict[float, list[int]] = {}
-            for ticket, query in enumerate(queue):
-                by_epsilon.setdefault(query.epsilon, []).append(ticket)
-            for epsilon, tickets in by_epsilon.items():
-                w = np.array(
-                    [queue[t].workload for t in tickets], dtype=np.intp
-                )
-                p = np.array(
-                    [queue[t].platform for t in tickets], dtype=np.intp
-                )
-                ints = pad_interferers([queue[t].interferers for t in tickets])
-                results[tickets] = self._predict_bound(
-                    state, w, p, ints, epsilon
-                )
-        except Exception:
-            self._queue = queue + self._queue
-            raise
-        self.stats.flushes += 1
-        return results
+            keys = [(*row, float(eps)) for eps in epsilons]
+            cached = [cache.get(key) for key in keys]
+            hits = len(keys) - cached.count(None)
+            if hits == len(keys):
+                self.stats.queries += hits
+                self.stats.cache_hits += hits
+                return np.array([cached])
+        pools = calibration_pools(query.interferers, n, state.use_pools)
+        resolved = [state.table.resolve(float(eps), pools) for eps in epsilons]
+        self.stats.queries += n * len(resolved)
+        self.stats.cache_hits += hits
+        self.stats.cache_misses += n * len(resolved) - hits
+        pred = self._forward(state, query.w_idx, query.p_idx, query.interferers)
+        bounds = np.empty((n, len(resolved)))
+        for j, (heads, offsets) in enumerate(resolved):
+            bounds[:, j] = np.exp(pred[np.arange(n), heads] + offsets)
+        if keys:
+            # Writes go to the *captured* generation's cache: if a swap
+            # landed mid-computation these entries are orphaned with it,
+            # never served against the new snapshot.
+            for key, value in zip(keys, bounds[0]):
+                cache.put(key, float(value))
+        return bounds

@@ -50,14 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conformal.predictor import ConformalRuntimePredictor, HeadChoice
-from ..core.model import EmbeddingSnapshot
-from .service import (
-    PredictionService,
-    ServiceStats,
-    validate_choice_heads,
-    validate_query,
+from ..cluster.dataset import BoundQuery
+from ..conformal.predictor import (
+    ConformalRuntimePredictor,
+    HeadChoice,
+    require_calibrated,
 )
+from ..core.model import EmbeddingSnapshot
+from .service import PredictionService, ServiceStats, validate_choice_heads
 from .shm import (
     SharedSnapshot,
     SnapshotLayout,
@@ -191,8 +191,6 @@ def _shard_main(
     layout: SnapshotLayout,
     choices: dict[tuple[float, int], HeadChoice],
     use_pools: bool,
-    cache_size: int,
-    max_batch: int,
     tasks,
     responses,
 ) -> None:
@@ -201,16 +199,12 @@ def _shard_main(
     Single-threaded by design: messages on the FIFO control queue are
     handled strictly in order, so a batch enqueued before a swap is
     always served from the pre-swap block, and the generation pair
-    stamped on each result is read race-free.
+    stamped on each result is read race-free. Batches arrive as
+    canonical :class:`~repro.cluster.BoundQuery` objects the router
+    already validated, so the worker does not validate them again.
     """
     snapshot, shm = attach_snapshot(layout)
-    service = PredictionService(
-        snapshot,
-        choices=choices,
-        use_pools=use_pools,
-        cache_size=cache_size,
-        max_batch=max_batch,
-    )
+    service = PredictionService(snapshot, choices=choices, use_pools=use_pools)
     generation = layout.generation
     responses.put(("ready", shard_id, generation))
     while True:
@@ -219,9 +213,9 @@ def _shard_main(
         if kind == "stop":
             break
         if kind == "batch":
-            _, req_id, w, p, ints, epsilon = message
+            _, req_id, query, epsilon = message
             try:
-                bounds = service.predict_bound(w, p, ints, epsilon)
+                bounds = service.serve_query(query, (epsilon,))[:, 0]
             except Exception as exc:  # noqa: BLE001 - forwarded to router
                 responses.put(
                     ("error", req_id, shard_id, f"{type(exc).__name__}: {exc}")
@@ -294,8 +288,6 @@ class ShardedPredictionService:
         use_pools: bool = True,
         n_shards: int = 2,
         queue_depth: int = 64,
-        cache_size: int = 65536,
-        max_batch: int = 8192,
         start_method: str = "spawn",
     ) -> None:
         if n_shards < 1:
@@ -347,8 +339,6 @@ class ShardedPredictionService:
                         shared.layout,
                         choices,
                         use_pools,
-                        cache_size,
-                        max_batch,
                         self._tasks[shard],
                         self._responses,
                     ),
@@ -434,11 +424,6 @@ class ShardedPredictionService:
     @property
     def choices(self) -> dict[tuple[float, int], HeadChoice]:
         return self._state.choices
-
-    @property
-    def calibrated_epsilons(self) -> tuple[float, ...]:
-        state = self._state
-        return tuple(sorted({eps for eps, pool in state.choices if pool == -1}))
 
     @property
     def reclaim_log(self) -> tuple[tuple[int, int], ...]:
@@ -529,10 +514,12 @@ class ShardedPredictionService:
     ) -> np.ndarray:
         """Bounds (seconds) for a batch, scattered across shards.
 
-        Rows route by :func:`shard_ids`; each shard serves its rows and
-        the router scatters results back to input order. Bitwise equal
-        to :meth:`PredictionService.predict_bound` on the same snapshot:
-        the stacked-matmul forward computes rows independently, so the
+        The router validates and canonicalizes the query (and checks ε)
+        before the cross-process hop; rows route by :func:`shard_ids`,
+        each shard serves its canonical rows, and the router scatters
+        results back to input order. Bitwise equal to
+        :meth:`PredictionService.predict_bound` on the same snapshot: the
+        stacked-matmul forward computes rows independently, so the
         partition does not perturb a single bit.
 
         Atomicity is per shard sub-batch, one notch weaker than the
@@ -542,29 +529,14 @@ class ShardedPredictionService:
         from the outgoing and incoming generations.
         """
         state = self._state
-        w_idx = np.asarray(w_idx, dtype=np.intp)
-        p_idx = np.asarray(p_idx, dtype=np.intp)
-        n = len(w_idx)
-        epsilon = float(epsilon)
-        if (epsilon, -1) not in state.choices:
-            raise RuntimeError(
-                f"service not calibrated for epsilon={epsilon}; "
-                f"calibrated: {list(self.calibrated_epsilons)}"
-            )
-        rows_int = (
-            None
-            if interferers is None
-            else np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-        )
-        if rows_int is not None and len(rows_int) != n:
-            raise ValueError(
-                f"interferers has {len(rows_int)} rows for {n} queries"
-            )
+        query = BoundQuery.from_arrays(w_idx, p_idx, interferers, self)
+        epsilon = require_calibrated(state.choices, epsilon)
+        n = len(query)
         self.stats.queries += n
         if n == 0:
             return np.empty(0)
 
-        shards = shard_ids(w_idx, p_idx, self.n_shards)
+        shards = shard_ids(query.w_idx, query.p_idx, self.n_shards)
         pending: set[int] = set()
         scatter: dict[int, np.ndarray] = {}
         now = time.monotonic()
@@ -580,14 +552,7 @@ class ShardedPredictionService:
                 pending.add(ticket)
                 scatter[ticket] = rows
                 self._tasks[shard].put(
-                    (
-                        "batch",
-                        ticket,
-                        w_idx[rows],
-                        p_idx[rows],
-                        None if rows_int is None else rows_int[rows],
-                        epsilon,
-                    )
+                    ("batch", ticket, query.take(rows), epsilon)
                 )
 
         out = np.empty(n)
@@ -625,16 +590,9 @@ class ShardedPredictionService:
         keeps tail latency bounded instead of queue-diverging.
         """
         state = self._state
-        workload, platform, co = validate_query(
-            workload, platform, interferers, self.n_workloads, self.n_platforms
-        )
-        epsilon = float(epsilon)
-        if (epsilon, -1) not in state.choices:
-            raise ValueError(
-                f"service not calibrated for epsilon={epsilon}; "
-                f"calibrated: {list(self.calibrated_epsilons)}"
-            )
-        shard = int(shard_ids(np.array([workload]), np.array([platform]), self.n_shards)[0])
+        query = BoundQuery.from_rows([(workload, platform, interferers)], self)
+        epsilon = require_calibrated(state.choices, epsilon, ValueError)
+        shard = int(shard_ids(query.w_idx, query.p_idx, self.n_shards)[0])
         with self._lock:
             if self._inflight_per_shard[shard] >= self.queue_depth:
                 self.stats.rejections += 1
@@ -649,30 +607,8 @@ class ShardedPredictionService:
             self._single.add(ticket)
             self._inflight_per_shard[shard] += 1
             self.stats.queries += 1
-            self._tasks[shard].put(
-                (
-                    "batch",
-                    ticket,
-                    np.array([workload], dtype=np.intp),
-                    np.array([platform], dtype=np.intp),
-                    np.array([co], dtype=np.intp) if co else None,
-                    epsilon,
-                )
-            )
+            self._tasks[shard].put(("batch", ticket, query, epsilon))
         return ticket
-
-    def validate_query(
-        self,
-        workload: int,
-        platform: int,
-        interferers: tuple[int, ...] | list[int] = (),
-    ) -> tuple[int, int, tuple[int, ...]]:
-        """Range-check one query; same contract as
-        :meth:`PredictionService.validate_query`, so front-ends (the CLI
-        ``serve`` command) treat the two services interchangeably."""
-        return validate_query(
-            workload, platform, interferers, self.n_workloads, self.n_platforms
-        )
 
     def poll(self) -> int:
         """Drain any completed responses without blocking.
@@ -824,7 +760,6 @@ class ShardedPredictionService:
         for reply in replies.values():
             merged.rows_computed += reply["rows_computed"]
             merged.batches += reply["batches"]
-            merged.flushes += reply["flushes"]
             merged.cache_hits += reply["cache_hits"]
             merged.cache_misses += reply["cache_misses"]
         return merged

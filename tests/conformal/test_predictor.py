@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.conformal import (
-    ConformalRuntimePredictor,
-    HeadOffsetTable,
-    resolve_head_offsets,
-)
+from repro.conformal import ConformalRuntimePredictor, HeadOffsetTable
 from repro.core import PAPER_QUANTILES
 from repro.eval import coverage, overprovision_margin
+
+from reference_paths import resolve_head_offsets
 
 
 class _StubModel:
@@ -18,6 +16,9 @@ class _StubModel:
     Head h predicts ``base + spread[h]`` in log space; the 'true' runtime
     used in tests is exp(noise) around base.
     """
+
+    #: Index-blind, so every index a toy dataset uses is in range.
+    n_workloads = n_platforms = 1 << 30
 
     def __init__(self, spreads):
         self.spreads = np.asarray(spreads, dtype=float)

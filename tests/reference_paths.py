@@ -9,11 +9,14 @@ time the production path against them.
   graph; :func:`forced_plan` pins a trainer to the dense or the sparse
   tower plan;
 * :func:`row_by_row_oracle` — a :class:`~repro.orchestration.BudgetOracle`
-  issuing one ``predict_bound`` call per row;
+  issuing one ``predict_bound`` call per row through
+  :class:`RowByRowBounds`;
 * :class:`ScalarEventSimulator` — the cluster simulator with its epoch
   events replayed as per-platform Python loops;
 * :class:`DequeConformalizer` — online conformal ingest as one ``deque``
-  append per score, re-sorting the window on every recalibration.
+  append per score, re-sorting the window on every recalibration;
+* :func:`resolve_head_offsets` — the per-batch ``np.unique`` (head,
+  offset) lookup that :class:`~repro.conformal.HeadOffsetTable` replaced.
 
 ``tests/`` is on ``sys.path`` under pytest, and ``benchmarks/conftest.py``
 appends it, so both trees import this module as ``reference_paths``.
@@ -26,6 +29,7 @@ from collections import deque
 import numpy as np
 
 from repro.conformal import OnlineConformalizer
+from repro.conformal.predictor import require_calibrated
 from repro.core import (
     PitotConfig,
     PitotModel,
@@ -40,10 +44,12 @@ __all__ = [
     "PrimitiveTrainer",
     "forced_plan",
     "train_with",
+    "RowByRowBounds",
     "row_by_row_oracle",
     "reference_runtime",
     "ScalarEventSimulator",
     "DequeConformalizer",
+    "resolve_head_offsets",
 ]
 
 
@@ -115,8 +121,9 @@ def train_with(
 # ----------------------------------------------------------------------
 # Budget oracle
 # ----------------------------------------------------------------------
-class _RowByRowBounds:
-    """``predict_bound`` adapter that forwards one row per call."""
+class RowByRowBounds:
+    """``predict_bound`` adapter that forwards one row per call (the
+    call shape a service's LRU serves)."""
 
     def __init__(self, predictor) -> None:
         self.predictor = predictor
@@ -135,7 +142,7 @@ class _RowByRowBounds:
 
 def row_by_row_oracle(predictor, epsilon: float) -> BudgetOracle:
     """The historical scalar oracle: one ``predict_bound`` call per row."""
-    return BudgetOracle(_RowByRowBounds(predictor), epsilon)
+    return BudgetOracle(RowByRowBounds(predictor), epsilon)
 
 
 # ----------------------------------------------------------------------
@@ -333,3 +340,26 @@ class DequeConformalizer(OnlineConformalizer):
             )
             cell_weights = stacked[np.argsort(unsorted, kind="stable")]
         return self._cut(scores, arrivals, epsilon, cell_weights)
+
+
+# ----------------------------------------------------------------------
+# Bound lookup
+# ----------------------------------------------------------------------
+def resolve_head_offsets(choices, epsilon: float, pools: np.ndarray):
+    """Vectorized (head, offset) lookup per query row.
+
+    Maps each row's pool to its calibrated ``HeadChoice`` (falling back
+    to the global pool ``-1``) in O(unique pools) dict work per batch.
+    Raises when ``epsilon`` was never calibrated.
+    """
+    require_calibrated(choices, epsilon)
+    fallback = choices[(epsilon, -1)]
+    unique = np.unique(pools)
+    u_heads = np.empty(len(unique), dtype=np.intp)
+    u_offsets = np.empty(len(unique))
+    for i, pool in enumerate(unique):
+        choice = choices.get((epsilon, int(pool)), fallback)
+        u_heads[i] = choice.head
+        u_offsets[i] = choice.offset
+    position = np.searchsorted(unique, pools)
+    return u_heads[position], u_offsets[position]

@@ -83,14 +83,6 @@ class TestPlacementParity:
         )
         assert raw.assignment == served.assignment
 
-    def test_service_cache_warm_after_placement(self, service, mini_split):
-        """Greedy placement's repeated revalidation queries hit the LRU."""
-        service.cache.clear()
-        service.cache.hits = 0
-        service.cache.misses = 0
-        greedy_placement(_problem(service, mini_split, n_jobs=12))
-        assert service.cache.hits > 0
-
 
 class TestAdmissionParity:
     def test_identical_admission_sequence(self, calibrated, service, mini_split):

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cluster import BoundQuery
 from repro.conformal import ConformalRuntimePredictor
 from repro.core import PAPER_QUANTILES
 from repro.serving import BoundCache, PredictionService
+
+from reference_paths import RowByRowBounds
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +83,9 @@ class TestBoundEquivalence:
 
     def test_cached_second_pass_is_identical(self, service, mini_split):
         test = mini_split.test
-        first = service.predict_bound(
-            test.w_idx, test.p_idx, test.interferers, 0.1
-        )
-        second = service.predict_bound(
-            test.w_idx, test.p_idx, test.interferers, 0.1
-        )
+        args = (test.w_idx, test.p_idx, test.interferers, 0.1)
+        first = RowByRowBounds(service).predict_bound(*args)
+        second = RowByRowBounds(service).predict_bound(*args)
         np.testing.assert_array_equal(first, second)
         assert service.cache.hits >= test.n_observations
 
@@ -172,14 +172,18 @@ class TestDegreeBatching:
         )
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
 
-    def test_small_max_batch_is_exact(self, calibrated, mini_split):
-        tiny = PredictionService.from_predictor(calibrated, max_batch=3)
+    def test_small_max_batch_is_exact(self, calibrated, mini_split,
+                                      monkeypatch):
+        from repro.serving import service as service_module
+
         test = mini_split.test
+        full = PredictionService.from_predictor(calibrated).predict_log(
+            test.w_idx, test.p_idx, test.interferers
+        )
+        monkeypatch.setattr(service_module, "MAX_BATCH", 3)
+        tiny = PredictionService.from_predictor(calibrated)
         np.testing.assert_array_equal(
-            tiny.predict_log(test.w_idx, test.p_idx, test.interferers),
-            PredictionService.from_predictor(calibrated).predict_log(
-                test.w_idx, test.p_idx, test.interferers
-            ),
+            tiny.predict_log(test.w_idx, test.p_idx, test.interferers), full
         )
         # ceil-division per degree group, so at least n/3 batches ran.
         assert tiny.stats.batches >= test.n_observations // 3
@@ -201,88 +205,50 @@ class TestDegreeBatching:
         w, p = test.w_idx[rows], test.p_idx[rows]
         forward = test.interferers[rows]
         backward = forward[:, ::-1].copy()
-        first = service.predict_bound(w, p, forward, 0.1)
+        first = RowByRowBounds(service).predict_bound(w, p, forward, 0.1)
         hits_before = service.cache.hits
-        second = service.predict_bound(w, p, backward, 0.1)
+        second = RowByRowBounds(service).predict_bound(w, p, backward, 0.1)
         assert service.cache.hits == hits_before + len(rows)
         np.testing.assert_allclose(first, second, rtol=0, atol=1e-10)
 
 
-class TestQueue:
-    def test_flush_matches_direct_queries(self, service, calibrated, mini_split):
-        test = mini_split.test
-        rows = np.arange(min(32, test.n_observations))
-        tickets = [
-            service.submit(
-                int(test.w_idx[i]),
-                int(test.p_idx[i]),
-                tuple(int(x) for x in test.interferers[i] if x >= 0),
-                epsilon=0.1,
-            )
-            for i in rows
-        ]
-        assert service.pending == len(rows)
-        bounds = service.flush()
-        assert service.pending == 0
-        direct = calibrated.predict_bound(
-            test.w_idx[rows], test.p_idx[rows], test.interferers[rows], 0.1
-        )
-        np.testing.assert_allclose(
-            bounds[tickets], direct, rtol=0, atol=1e-10
-        )
+class TestQueryValidation:
+    """Every bound entry point builds a canonical BoundQuery first, so a
+    malformed query is rejected before any forward runs."""
 
-    def test_flush_groups_mixed_epsilons(self, service, mini_split):
-        test = mini_split.test
-        t1 = service.submit(int(test.w_idx[0]), int(test.p_idx[0]), (), 0.1)
-        t2 = service.submit(int(test.w_idx[1]), int(test.p_idx[1]), (), 0.05)
-        bounds = service.flush()
-        assert np.isfinite(bounds[[t1, t2]]).all()
-        assert service.stats.flushes == 1
-
-    def test_submit_rejects_too_many_interferers(self, service):
+    def test_rejects_too_many_interferers(self, service):
         with pytest.raises(ValueError, match="at most 3"):
-            service.submit(0, 0, (1, 2, 3, 4))
+            service.predict_bound(
+                np.array([0]), np.array([0]), np.array([[1, 2, 3, 4]]), 0.1
+            )
+        with pytest.raises(ValueError, match="at most 3"):
+            BoundQuery.from_rows([(0, 0, (1, 2, 3, 4))], service)
 
-    def test_submit_rejects_out_of_range_indices(self, service):
+    def test_rejects_out_of_range_indices(self, service):
+        w0, p0 = np.array([0]), np.array([0])
         with pytest.raises(ValueError, match="workload .* out of range"):
-            service.submit(service.n_workloads, 0)
+            service.predict_bound(
+                np.array([service.n_workloads]), p0, None, 0.1
+            )
         with pytest.raises(ValueError, match="platform .* out of range"):
-            service.submit(0, service.n_platforms)
+            service.predict_bound(
+                w0, np.array([service.n_platforms]), None, 0.1
+            )
         with pytest.raises(ValueError, match="interferer .* out of range"):
-            service.submit(0, 0, (service.n_workloads,))
-        assert service.pending == 0
+            service.predict_bound(
+                w0, p0, np.array([[service.n_workloads]]), 0.1
+            )
+        assert service.stats.rows_computed == 0
 
-    def test_submit_rejects_uncalibrated_epsilon(self, service):
-        with pytest.raises(ValueError, match="not calibrated"):
-            service.submit(0, 0, (), epsilon=0.42)
-        assert service.pending == 0
-
-    def test_submit_strips_padding_but_rejects_other_negatives(self, service):
-        ticket = service.submit(0, 0, (2, -1, -1), epsilon=0.1)
-        assert ticket == 0
+    def test_strips_padding_but_rejects_other_negatives(self, service):
+        bound = service.predict_bound(
+            np.array([0]), np.array([0]), np.array([[2, -1, -1]]), 0.1
+        )
+        assert np.isfinite(bound).all()
         with pytest.raises(ValueError, match="out of range"):
-            service.submit(0, 0, (-2,), epsilon=0.1)
-        service._queue.clear()
-
-    def test_flush_preserves_queue_when_calibration_dropped(self, service):
-        """A refresh/recalibration between submit and flush must not lose
-        accepted tickets."""
-        good = service.submit(0, 0, (), epsilon=0.1)
-        service.submit(1, 0, (), epsilon=0.05)
-        saved = dict(service.choices)
-        # Simulate a recalibration that dropped epsilon=0.05.
-        service.choices = {
-            key: value for key, value in saved.items() if key[0] != 0.05
-        }
-        try:
-            with pytest.raises(RuntimeError, match="not calibrated"):
-                service.flush()
-            # Nothing was lost: both tickets are still queued.
-            assert service.pending == 2
-            assert good == 0
-        finally:
-            service.choices = saved
-            service._queue.clear()
+            service.predict_bound(
+                np.array([0]), np.array([0]), np.array([[-2]]), 0.1
+            )
 
 
 class TestLifecycle:
@@ -317,7 +283,7 @@ class TestLifecycle:
             assert service.is_stale(model)
             predictor.calibrate(mini_split.calibration, epsilons=(0.1,))
             test = mini_split.test
-            service.predict_bound(
+            RowByRowBounds(service).predict_bound(
                 test.w_idx[:64], test.p_idx[:64], test.interferers[:64], 0.1
             )
             assert len(service.cache) > 0

@@ -10,6 +10,8 @@ from repro.core import PAPER_QUANTILES, PitotTrainer, TrainerConfig
 from repro.core.model import EmbeddingSnapshot
 from repro.serving import PredictionService
 
+from reference_paths import RowByRowBounds
+
 
 @pytest.fixture(scope="module")
 def calibrated(trained_pitot_quantile, mini_split):
@@ -66,7 +68,7 @@ class TestSwap:
         (snap_a, pred_a), (snap_b, pred_b) = generations
         service = PredictionService(snap_a, choices=pred_a.choices)
         test = mini_split.test
-        service.predict_bound(
+        RowByRowBounds(service).predict_bound(
             test.w_idx[:32], test.p_idx[:32], test.interferers[:32], 0.1
         )
         assert len(service.cache) > 0
@@ -96,11 +98,10 @@ class TestSwap:
         service = PredictionService.from_predictor(calibrated)
         test = mini_split.test
         args = (test.w_idx[:8], test.p_idx[:8], test.interferers[:8], 0.1)
-        before = service.predict_bound(*args)
+        before = RowByRowBounds(service).predict_bound(*args)
         service.choices = _shifted(calibrated, 1.0).choices
-        np.testing.assert_allclose(
-            service.predict_bound(*args), before * np.e, rtol=1e-12
-        )
+        after = RowByRowBounds(service).predict_bound(*args)
+        np.testing.assert_allclose(after, before * np.e, rtol=1e-12)
         assert service.stats.invalidations == 1
 
     def test_refresh_never_serves_stale_cached_bound(
@@ -112,12 +113,13 @@ class TestSwap:
         service = PredictionService.from_predictor(calibrated)
         test = mini_split.test
         args = (test.w_idx[:16], test.p_idx[:16], test.interferers[:16], 0.1)
-        before = service.predict_bound(*args)
+        before = RowByRowBounds(service).predict_bound(*args)
         hits0 = service.stats.cache_hits
-        np.testing.assert_allclose(service.predict_bound(*args), before)
+        again = RowByRowBounds(service).predict_bound(*args)
+        np.testing.assert_allclose(again, before)
         assert service.stats.cache_hits == hits0 + 16  # served from cache
         service.refresh(_shifted(calibrated, 1.0))
-        after = service.predict_bound(*args)
+        after = RowByRowBounds(service).predict_bound(*args)
         # Every bound reflects the new offsets (x e), not the stale cache.
         np.testing.assert_allclose(after, before * np.e, rtol=1e-12)
         assert service.stats.invalidations == 1
@@ -128,7 +130,9 @@ class TestSwap:
     ):
         """Acceptance: while swap() flips generations, every predict_bound
         call returns bounds consistent with exactly one (snapshot,
-        predictor) pair — never a mixture."""
+        predictor) pair — never a mixture. The single-row reader's LRU
+        writes race the swaps into orphaned caches, and every bound it
+        gets back is bit for bit one generation's."""
         (snap_a, pred_a), (snap_b, pred_b) = generations
         test = mini_split.test
         rows = np.arange(min(24, test.n_observations))
@@ -145,7 +149,6 @@ class TestSwap:
 
         service = PredictionService(
             snap_a, choices=pred_a.choices, use_pools=pred_a.use_pools,
-            cache_size=0,
         )
         torn: list[np.ndarray] = []
         done = threading.Event()
@@ -158,6 +161,16 @@ class TestSwap:
                 ):
                     torn.append(got)
 
+        def single_reader():
+            row = 0
+            while not done.is_set():
+                got = service.predict_bound(
+                    w[row : row + 1], p[row : row + 1], k[row : row + 1], 0.1
+                )
+                if got[0] not in (expected[0][row], expected[1][row]):
+                    torn.append(got)
+                row = (row + 1) % len(rows)
+
         def swapper():
             for _ in range(150):
                 service.swap(snap_b, pred_b)
@@ -165,6 +178,7 @@ class TestSwap:
             done.set()
 
         threads = [threading.Thread(target=reader) for _ in range(2)]
+        threads.append(threading.Thread(target=single_reader))
         threads.append(threading.Thread(target=swapper))
         for t in threads:
             t.start()
@@ -181,11 +195,11 @@ class TestStats:
         service = PredictionService.from_predictor(calibrated)
         test = mini_split.test
         args = (test.w_idx[:8], test.p_idx[:8], test.interferers[:8], 0.1)
-        service.predict_bound(*args)
-        service.predict_bound(*args)
+        RowByRowBounds(service).predict_bound(*args)
+        RowByRowBounds(service).predict_bound(*args)
         stats = service.stats.as_dict()
         for key in (
-            "queries", "rows_computed", "batches", "flushes",
+            "queries", "rows_computed", "batches",
             "cache_hits", "cache_misses", "hit_rate", "swaps",
             "invalidations",
         ):
@@ -202,10 +216,10 @@ class TestStats:
         service = PredictionService(snap_a, choices=pred_a.choices)
         test = mini_split.test
         args = (test.w_idx[:8], test.p_idx[:8], test.interferers[:8], 0.1)
-        service.predict_bound(*args)
-        service.predict_bound(*args)
+        RowByRowBounds(service).predict_bound(*args)
+        RowByRowBounds(service).predict_bound(*args)
         service.swap(snap_b, pred_b)
-        service.predict_bound(*args)
+        RowByRowBounds(service).predict_bound(*args)
         assert service.stats.cache_hits == 8
         assert service.stats.cache_misses == 16
         assert service.cache.misses == 8  # the new generation's own view
@@ -248,20 +262,32 @@ class TestStatsTopology:
 
 
 class TestSharedValidation:
-    def test_validate_query_module_function(self):
-        from repro.serving import validate_query
+    def test_bound_query_validates_and_canonicalizes(self):
+        from types import SimpleNamespace
 
-        assert validate_query(3, 5, (7, -1), 40, 24) == (3, 5, (7,))
+        from repro.cluster import BoundQuery
+
+        population = SimpleNamespace(n_workloads=40, n_platforms=24)
+        query = BoundQuery.from_rows([(3, 5, (7, -1))], population)
+        assert (
+            int(query.w_idx[0]), int(query.p_idx[0]),
+            tuple(query.interferers[0]),
+        ) == (3, 5, (7, -1, -1))
         with pytest.raises(ValueError, match="workload"):
-            validate_query(40, 0, (), 40, 24)
+            BoundQuery.from_rows([(40, 0, ())], population)
         with pytest.raises(ValueError, match="platform"):
-            validate_query(0, 24, (), 40, 24)
+            BoundQuery.from_rows([(0, 24, ())], population)
         with pytest.raises(ValueError, match="interferer"):
-            validate_query(0, 0, (-3,), 40, 24)
+            BoundQuery.from_rows([(0, 0, (-3,))], population)
 
-    def test_service_method_delegates(self, calibrated):
+    def test_service_is_a_population(self, calibrated):
+        from repro.cluster import BoundQuery
+
         service = PredictionService.from_predictor(calibrated)
-        assert service.validate_query(1, 2, (3, -1)) == (1, 2, (3,))
+        query = BoundQuery.from_rows([(1, 2, (3, -1))], service)
+        assert tuple(query.interferers[0]) == (3, -1, -1)
+        with pytest.raises(ValueError, match="workload"):
+            BoundQuery.from_rows([(service.n_workloads, 0, ())], service)
 
     def test_validate_choice_heads(self, calibrated):
         from repro.serving import validate_choice_heads
