@@ -49,6 +49,7 @@ from .pipeline import (
     make_scenario_split,
     pipeline_stage_keys,
     run_pipeline,
+    snapshot_stage,
     train_stage,
 )
 from .devtools.lint import add_lint_arguments
@@ -746,7 +747,7 @@ def _cmd_evaluate(args) -> int:
     print(f"MAPE with interference:    {mape(pred[~iso], test.runtime[~iso]):.2%}")
 
     if args.epsilon is not None:
-        cp = calibrate_stage(spec, model, split)
+        cp = calibrate_stage(spec, model, split, snapshot_stage(model))
         bound = cp.predict_bound_dataset(test, args.epsilon)
         print(f"eps={args.epsilon}: coverage "
               f"{coverage(bound, test.runtime):.3f}, margin "
@@ -882,7 +883,7 @@ def _cmd_serve_sharded(args, epsilons: tuple[float, ...]) -> int:
     spec, split = _paper_split(
         dataset, args.fraction, args.seed, epsilons=epsilons
     )
-    predictor = calibrate_stage(spec, model, split)
+    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
     service = ShardedPredictionService.from_predictor(
         predictor,
         n_shards=args.shards,
@@ -936,7 +937,7 @@ def _cmd_bench_serve_open_loop(args, epsilon: float) -> int:
     spec, split = _paper_split(
         dataset, args.fraction, args.seed, epsilons=(epsilon,)
     )
-    predictor = calibrate_stage(spec, model, split)
+    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
     trace = generate_trace(config, model.n_workloads, model.n_platforms)
     service = ShardedPredictionService.from_predictor(
         predictor,
@@ -985,7 +986,7 @@ def _cmd_bench_serve(args) -> int:
     spec, split = _paper_split(
         dataset, args.fraction, args.seed, epsilons=(epsilon,)
     )
-    predictor = calibrate_stage(spec, model, split)
+    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
 
     rng = np.random.default_rng(args.seed)
     test = split.test

@@ -322,7 +322,7 @@ class RuntimeDataset:
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
         """Save observations + features to an ``.npz`` archive."""
-        np.savez_compressed(
+        np.savez(
             Path(path),
             schema_version=np.array(DATASET_SCHEMA_VERSION),
             w_idx=self.w_idx,

@@ -116,26 +116,41 @@ def _ensure_entity_coverage(
     matrix completion (Sec 3.1). ``universe`` restricts the entity sets to
     those referenced by the given rows (the cold-workload split must not
     pull held-out entities back into training).
-    """
-    train_set = set(train_rows.tolist())
-    test_list = test_rows.tolist()
 
-    for entity_ids, column in (
-        (np.unique(dataset.w_idx if universe is None else dataset.w_idx[universe]),
-         dataset.w_idx),
-        (np.unique(dataset.p_idx if universe is None else dataset.p_idx[universe]),
-         dataset.p_idx),
-    ):
-        covered = set(np.unique(column[train_rows]).tolist()) if len(train_rows) else set()
-        missing = [e for e in entity_ids if e not in covered]
-        for entity in missing:
-            candidates = [r for r in test_list if column[r] == entity]
-            if not candidates:
-                continue
-            chosen = candidates[int(rng.integers(len(candidates)))]
-            test_list.remove(chosen)
-            train_set.add(chosen)
-    return np.array(sorted(train_set), dtype=int), np.array(test_list, dtype=int)
+    Workloads are repaired first, then platforms, each missing entity in
+    ascending id order: one ``rng.integers`` draw picks among the test
+    rows still unpromoted that reference it, in their incoming order
+    (no draw when there are none). Both passes test coverage against the
+    *incoming* ``train_rows``, so the platform pass can promote a row for
+    a platform a workload-pass promotion already covers. The two row sets
+    are disjoint and hold distinct row ids; train comes back sorted, test
+    in incoming order.
+    """
+    train_rows = np.asarray(train_rows, dtype=int)
+    test_rows = np.asarray(test_rows, dtype=int)
+    unpromoted = np.ones(len(test_rows), dtype=bool)
+    for column in (dataset.w_idx, dataset.p_idx):
+        size = int(column.max(initial=-1)) + 1
+        present = column if universe is None else column[universe]
+        missing = (np.bincount(present, minlength=size) > 0) & (
+            np.bincount(column[train_rows], minlength=size) == 0
+        )
+        if not missing.any():
+            continue
+        # Group the candidate test rows by entity; the stable sort keeps
+        # each entity's rows in their incoming order.
+        test_entity = column[test_rows]
+        candidates = np.flatnonzero(unpromoted & missing[test_entity])
+        candidates = candidates[np.argsort(test_entity[candidates], kind="stable")]
+        keys = test_entity[candidates]
+        entities = np.flatnonzero(missing)
+        starts = np.searchsorted(keys, entities, side="left")
+        ends = np.searchsorted(keys, entities, side="right")
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            if hi > lo:
+                unpromoted[candidates[lo + int(rng.integers(hi - lo))]] = False
+    promoted = test_rows[~unpromoted]
+    return np.sort(np.concatenate([train_rows, promoted])), test_rows[unpromoted]
 
 
 def make_split(

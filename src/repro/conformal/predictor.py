@@ -236,6 +236,7 @@ class ConformalRuntimePredictor:
         calibration: RuntimeDataset,
         epsilons: tuple[float, ...] = (0.1, 0.05, 0.01),
         arrivals: np.ndarray | None = None,
+        scorer=None,
     ) -> "ConformalRuntimePredictor":
         """Compute per-(ε, pool) head choices and conformal offsets.
 
@@ -255,8 +256,13 @@ class ConformalRuntimePredictor:
         margins the recency decay then runs in stream-event units — the
         same clock the online conformalizer uses — instead of dilating τ
         by the hold-out's subsampling factor.
+
+        ``scorer`` (optional) scores the calibration rows in place of the
+        wrapped model: any object with the model's ``predict_log`` and
+        the same answers, such as a service over a frozen snapshot of it,
+        which spares a second tower pass.
         """
-        pred = self.model.predict_log(
+        pred = (self.model if scorer is None else scorer).predict_log(
             calibration.w_idx, calibration.p_idx, calibration.interferers
         )  # (n, H)
         y = calibration.log_runtime

@@ -16,6 +16,29 @@ import numpy as np
 __all__ = ["LinearScalingBaseline"]
 
 
+def _fill_from_rows(
+    bar: np.ndarray, seen: np.ndarray, column: np.ndarray, residual: np.ndarray
+) -> None:
+    """Set each unseen entity that has rows to its mean ``residual``.
+
+    One stable sort groups the rows of every unseen entity, each group in
+    row order, so ``np.mean`` sums exactly the values a per-entity mask
+    over ``column`` would select, in the same order, and gives the same
+    bits without a column scan per entity. Marks those entities seen.
+    """
+    rows = np.flatnonzero(~seen[column])
+    if not len(rows):
+        return
+    rows = rows[np.argsort(column[rows], kind="stable")]
+    keys = column[rows]
+    values = residual[rows]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    ends = np.append(starts[1:], len(rows))
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        bar[keys[lo]] = float(np.mean(values[lo:hi]))
+    seen[keys[starts]] = True
+
+
 class LinearScalingBaseline:
     """Alternating-minimization fit of the additive log model.
 
@@ -129,20 +152,9 @@ class LinearScalingBaseline:
     ) -> None:
         if fallback is not None:
             fw, fp, fy = (np.asarray(a) for a in fallback)
-            for entity in np.flatnonzero(~w_seen):
-                rows = fw == entity
-                if rows.any():
-                    self.w_bar[entity] = float(
-                        np.mean(fy[rows] - self.p_bar[fp[rows]])
-                    )
-                    w_seen[entity] = True
-            for entity in np.flatnonzero(~p_seen):
-                rows = fp == entity
-                if rows.any():
-                    self.p_bar[entity] = float(
-                        np.mean(fy[rows] - self.w_bar[fw[rows]])
-                    )
-                    p_seen[entity] = True
+            # Workloads first: the platform pass reads the filled w̄.
+            _fill_from_rows(self.w_bar, w_seen, fw, fy - self.p_bar[fp])
+            _fill_from_rows(self.p_bar, p_seen, fp, fy - self.w_bar[fw])
         if (~w_seen).any():
             self.w_bar[~w_seen] = self.w_bar[w_seen].mean() if w_seen.any() else 0.0
         if (~p_seen).any():

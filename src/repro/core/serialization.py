@@ -55,7 +55,7 @@ def save_model(model: PitotModel, path: str | Path) -> None:
         payload["baseline::w_bar"] = model.baseline.w_bar
         payload["baseline::p_bar"] = model.baseline.p_bar
 
-    np.savez_compressed(Path(path), **payload)
+    np.savez(Path(path), **payload)
 
 
 def load_model(path: str | Path) -> PitotModel:

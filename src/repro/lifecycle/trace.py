@@ -118,7 +118,7 @@ class DriftTrace:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
+        np.savez(
             Path(path),
             schema_version=np.array(TRACE_SCHEMA_VERSION),
             w_idx=self.w_idx,

@@ -341,12 +341,25 @@ def _spec_predictor(
 
 
 def calibrate_stage(
-    spec: ScenarioSpec, model: PitotModel, split: DataSplit
+    spec: ScenarioSpec,
+    model: PitotModel,
+    split: DataSplit,
+    snapshot: EmbeddingSnapshot,
 ) -> ConformalRuntimePredictor:
-    """Split-calibrate the trained model at the spec's ε grid."""
+    """Split-calibrate the trained model at the spec's ε grid.
+
+    ``snapshot`` is ``model`` frozen by :func:`snapshot_stage`. The
+    calibration rows are scored through it in serving-sized batches,
+    bitwise equal to ``model.predict_log`` without running the towers
+    again; the returned predictor wraps ``model``.
+    """
+    from ..serving.service import PredictionService
+
     predictor = _spec_predictor(spec, model)
     return predictor.calibrate(
-        split.calibration, epsilons=spec.conformal.epsilons
+        split.calibration,
+        epsilons=spec.conformal.epsilons,
+        scorer=PredictionService(snapshot),
     )
 
 
@@ -355,10 +368,22 @@ def evaluate_stage(
     training: TrainingResult,
     predictor: ConformalRuntimePredictor,
     split: DataSplit,
+    snapshot: EmbeddingSnapshot,
 ) -> dict:
-    """Sec 5.1 test metrics: MAPE by interference, coverage/margin per ε."""
+    """Sec 5.1 test metrics: MAPE by interference, coverage/margin per ε.
+
+    Scored through ``snapshot`` (the trained model frozen by
+    :func:`snapshot_stage`): one forward gives the point predictions and
+    one :meth:`~repro.serving.PredictionService.predict_bound_sweep`
+    gives the bounds of the whole ε grid, each bitwise equal to the
+    model's and the predictor's own answers.
+    """
+    from ..serving.service import PredictionService
+
     test = split.test
-    model = training.model
+    service = PredictionService(
+        snapshot, choices=predictor.choices, use_pools=predictor.use_pools
+    )
     # The scenario *name* is provenance, not content — it lives in the
     # artifact manifest, never in the cached payload, so a same-knob
     # scenario alias hitting this cache is not mislabeled.
@@ -379,7 +404,7 @@ def evaluate_stage(
             else None
         ),
     }
-    pred = model.predict_runtime(test.w_idx, test.p_idx, test.interferers)
+    pred = service.predict_runtime(test.w_idx, test.p_idx, test.interferers)
     iso = test.isolation_mask()
     # ``None`` (JSON null), not NaN, for empty partitions: metrics.json
     # must stay strict JSON for non-Python consumers of the store.
@@ -389,9 +414,11 @@ def evaluate_stage(
     metrics["mape_interference"] = (
         float(mape(pred[~iso], test.runtime[~iso])) if (~iso).any() else None
     )
+    bounds = service.predict_bound_sweep(
+        test.w_idx, test.p_idx, test.interferers, spec.conformal.epsilons
+    )
     by_epsilon: dict[str, dict[str, float]] = {}
-    for eps in spec.conformal.epsilons:
-        bound = predictor.predict_bound_dataset(test, eps)
+    for eps, bound in zip(spec.conformal.epsilons, bounds.T):
         by_epsilon[repr(float(eps))] = {
             "coverage": float(coverage(bound, test.runtime)),
             "margin": float(overprovision_margin(bound, test.runtime)),
@@ -596,7 +623,7 @@ def _load_collect(path: Path, spec: ScenarioSpec, out: dict) -> None:
 def _save_scale(path: Path, out: dict) -> None:
     split: DataSplit = out["split"]
     baseline: LinearScalingBaseline = out["baseline"]
-    np.savez_compressed(
+    np.savez(
         path / "split.npz",
         schema_version=np.array(_SPLIT_SCHEMA_VERSION),
         train_rows=split.train_rows,
@@ -749,7 +776,7 @@ def _save_snapshot(path: Path, out: dict) -> None:
         value = getattr(snapshot, name)
         if value is not None:
             arrays[name] = value
-    np.savez_compressed(path / "snapshot.npz", **arrays)
+    np.savez(path / "snapshot.npz", **arrays)
 
 
 def _load_snapshot(path: Path, spec: ScenarioSpec, out: dict) -> None:
@@ -798,7 +825,7 @@ def _save_update(path: Path, out: dict) -> None:
         + "\n"
     )
     w, p, interferers, runtime = lifecycle.window
-    np.savez_compressed(
+    np.savez(
         path / "window.npz",
         schema_version=np.array(_WINDOW_SCHEMA_VERSION),
         w_idx=w,
@@ -867,20 +894,31 @@ def _compute_train(spec: ScenarioSpec, out: dict) -> None:
     out["training"] = train_stage(spec, out["split"])
 
 
+def _frozen(out: dict) -> EmbeddingSnapshot:
+    """The trained model's one tower pass per run.
+
+    The first stage after ``train`` that needs embeddings freezes the
+    model; calibrate, evaluate and the snapshot stage share the result.
+    """
+    if "frozen" not in out:
+        out["frozen"] = snapshot_stage(out["training"].model)
+    return out["frozen"]
+
+
 def _compute_calibrate(spec: ScenarioSpec, out: dict) -> None:
     out["predictor"] = calibrate_stage(
-        spec, out["training"].model, out["split"]
+        spec, out["training"].model, out["split"], _frozen(out)
     )
 
 
 def _compute_evaluate(spec: ScenarioSpec, out: dict) -> None:
     out["metrics"] = evaluate_stage(
-        spec, out["training"], out["predictor"], out["split"]
+        spec, out["training"], out["predictor"], out["split"], _frozen(out)
     )
 
 
 def _compute_snapshot(spec: ScenarioSpec, out: dict) -> None:
-    out["snapshot"] = snapshot_stage(out["training"].model)
+    out["snapshot"] = _frozen(out)
 
 
 def _compute_ingest(spec: ScenarioSpec, out: dict) -> None:

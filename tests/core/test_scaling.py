@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LinearScalingBaseline
+from reference_paths import ScanFillBaseline
 
 
 def _planted_data(rng, nw=12, np_=8, noise=0.0):
@@ -79,6 +80,39 @@ class TestFallbacks:
         )
         assert np.isfinite(model.w_bar).all()
         assert np.isfinite(model.p_bar).all()
+
+
+class TestFillParity:
+    """The grouped fill of unseen entities against the per-entity scan."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fill_matches_scan_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_workloads, n_platforms, n = 40, 12, 3000
+        # The last 4 workloads and last 2 platforms have no rows at all
+        # (population mean); workloads divisible by 5 and platform 3 have
+        # interference rows only (filled from the fallback rows).
+        w_idx = rng.integers(0, n_workloads - 4, n)
+        p_idx = rng.integers(0, n_platforms - 2, n)
+        y = rng.normal(0.0, 1.0, n) + 0.1 * w_idx - 0.2 * p_idx
+        iso = (rng.random(n) < 0.4) & (w_idx % 5 != 0) & (p_idx != 3)
+
+        def fit(cls):
+            return cls(n_workloads, n_platforms).fit(
+                w_idx[iso], p_idx[iso], y[iso], fallback=(w_idx, p_idx, y)
+            )
+
+        production, reference = fit(LinearScalingBaseline), fit(ScanFillBaseline)
+        assert production.w_bar.tobytes() == reference.w_bar.tobytes()
+        assert production.p_bar.tobytes() == reference.p_bar.tobytes()
+        # Both fill rules ran: fallback-filled entities differ from the
+        # population mean, and row-less ones equal it.
+        mean_w = production.w_bar[: n_workloads - 4].mean()
+        mean_p = production.p_bar[: n_platforms - 2].mean()
+        assert np.all(production.w_bar[np.arange(0, n_workloads - 4, 5)] != mean_w)
+        assert np.all(production.w_bar[n_workloads - 4 :] == mean_w)
+        assert production.p_bar[3] != mean_p
+        assert np.all(production.p_bar[n_platforms - 2 :] == mean_p)
 
 
 class TestResidual:

@@ -16,7 +16,11 @@ time the production path against them.
 * :class:`DequeConformalizer` — online conformal ingest as one ``deque``
   append per score, re-sorting the window on every recalibration;
 * :func:`resolve_head_offsets` — the per-batch ``np.unique`` (head,
-  offset) lookup that :class:`~repro.conformal.HeadOffsetTable` replaced.
+  offset) lookup that :class:`~repro.conformal.HeadOffsetTable` replaced;
+* :func:`scan_entity_coverage` — split repair as one Python scan of the
+  test rows per missing entity;
+* :class:`ScanFillBaseline` — the scaling baseline filling each unseen
+  entity with one scan of the whole fallback column.
 
 ``tests/`` is on ``sys.path`` under pytest, and ``benchmarks/conftest.py``
 appends it, so both trees import this module as ``reference_paths``.
@@ -28,9 +32,11 @@ from collections import deque
 
 import numpy as np
 
+from repro.cluster import RuntimeDataset
 from repro.conformal import OnlineConformalizer
 from repro.conformal.predictor import require_calibrated
 from repro.core import (
+    LinearScalingBaseline,
     PitotConfig,
     PitotModel,
     PitotTrainer,
@@ -50,6 +56,8 @@ __all__ = [
     "ScalarEventSimulator",
     "DequeConformalizer",
     "resolve_head_offsets",
+    "scan_entity_coverage",
+    "ScanFillBaseline",
 ]
 
 
@@ -363,3 +371,63 @@ def resolve_head_offsets(choices, epsilon: float, pools: np.ndarray):
         u_offsets[i] = choice.offset
     position = np.searchsorted(unique, pools)
     return u_heads[position], u_offsets[position]
+
+
+# ----------------------------------------------------------------------
+# Split repair and baseline fill
+# ----------------------------------------------------------------------
+def scan_entity_coverage(
+    dataset: RuntimeDataset,
+    train_rows: np.ndarray,
+    test_rows: np.ndarray,
+    rng: np.random.Generator,
+    universe: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``repro.cluster.splits._ensure_entity_coverage`` as a set and a
+    list: every missing entity scans the remaining test rows once."""
+    train_set = set(train_rows.tolist())
+    test_list = test_rows.tolist()
+
+    for entity_ids, column in (
+        (np.unique(dataset.w_idx if universe is None else dataset.w_idx[universe]),
+         dataset.w_idx),
+        (np.unique(dataset.p_idx if universe is None else dataset.p_idx[universe]),
+         dataset.p_idx),
+    ):
+        covered = set(np.unique(column[train_rows]).tolist()) if len(train_rows) else set()
+        missing = [e for e in entity_ids if e not in covered]
+        for entity in missing:
+            candidates = [r for r in test_list if column[r] == entity]
+            if not candidates:
+                continue
+            chosen = candidates[int(rng.integers(len(candidates)))]
+            test_list.remove(chosen)
+            train_set.add(chosen)
+    return np.array(sorted(train_set), dtype=int), np.array(test_list, dtype=int)
+
+
+class ScanFillBaseline(LinearScalingBaseline):
+    """The baseline with each unseen entity filled by a boolean scan of
+    the whole fallback column."""
+
+    def _fill_unseen(self, w_seen, p_seen, fallback) -> None:
+        if fallback is not None:
+            fw, fp, fy = (np.asarray(a) for a in fallback)
+            for entity in np.flatnonzero(~w_seen):
+                rows = fw == entity
+                if rows.any():
+                    self.w_bar[entity] = float(
+                        np.mean(fy[rows] - self.p_bar[fp[rows]])
+                    )
+                    w_seen[entity] = True
+            for entity in np.flatnonzero(~p_seen):
+                rows = fp == entity
+                if rows.any():
+                    self.p_bar[entity] = float(
+                        np.mean(fy[rows] - self.w_bar[fw[rows]])
+                    )
+                    p_seen[entity] = True
+        if (~w_seen).any():
+            self.w_bar[~w_seen] = self.w_bar[w_seen].mean() if w_seen.any() else 0.0
+        if (~p_seen).any():
+            self.p_bar[~p_seen] = self.p_bar[p_seen].mean() if p_seen.any() else 0.0
