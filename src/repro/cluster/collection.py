@@ -31,10 +31,146 @@ from .performance import GroundTruthPerformanceModel, PerformanceModelConfig
 __all__ = [
     "CollectionConfig",
     "ClusterCollector",
+    "PCG64Words",
     "collect_dataset",
+    "lemire_decode",
     "make_cluster",
+    "sample_distinct_sets",
     "synthetic_fleet_dataset",
 ]
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+def lemire_decode(
+    words: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Uniform draws on ``[0, b]`` for each ``b`` in ``bounds``, in order.
+
+    This is numpy's bounded draw for ``1 <= b < 2**32 - 1`` (Lemire's
+    method): a draw reads one 32-bit word ``w`` and yields
+    ``(w * (b+1)) >> 32``, unless the low 32 bits of that product fall
+    below ``2**32 mod (b+1)``; then the same draw reads the next word.
+    A pure function of ``words``, so tests can inject them. Returns the
+    values of the leading draws the words cover and how many words those
+    draws consumed.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    span = np.asarray(bounds, dtype=np.uint64) + np.uint64(1)
+    values = np.empty(len(span), dtype=np.int64)
+    done = used = 0
+    while done < len(span) and used < len(words):
+        todo = min(len(span) - done, len(words) - used)
+        sub = span[done : done + todo]
+        product = words[used : used + todo] * sub
+        redraw = (product & _LOW32) < (_TWO32 - sub) % sub
+        ok = int(redraw.argmax()) if redraw.any() else todo
+        values[done : done + ok] = product[:ok] >> np.uint64(32)
+        done += ok
+        # A redrawn draw spends its word and retries on the next one.
+        used += ok + (ok < todo)
+    return values[:done], used
+
+
+class PCG64Words:
+    """The 32-bit words a PCG64 generator serves to its bounded draws.
+
+    PCG64 splits each 64-bit output into its low, then its high half,
+    and keeps an unused high half in its state (``has_uint32``,
+    ``uinteger``) for the next 32-bit draw; 64-bit draws (``random``,
+    ``normal``, ``uniform``) leave that half alone. :meth:`take` serves
+    the buffered half first and never draws an output it does not
+    hand out at least half of; :meth:`close` writes the buffer back.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(
+                "vectorized set sampling needs a PCG64 generator "
+                "(np.random.default_rng), got "
+                f"{type(bit_generator).__name__}"
+            )
+        self._bit_generator = bit_generator
+        state = bit_generator.state
+        self._has_half = bool(state["has_uint32"])
+        self._half = int(state["uinteger"])
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` words, as ``uint64``."""
+        head = np.empty(0, dtype=np.uint64)
+        if count > 0 and self._has_half:
+            head = np.array([self._half], dtype=np.uint64)
+            self._has_half = False
+            count -= 1
+        if count <= 0:
+            return head
+        raw = self._bit_generator.random_raw((count + 1) // 2)
+        halves = np.empty(2 * len(raw), dtype=np.uint64)
+        halves[0::2] = raw & _LOW32
+        halves[1::2] = raw >> np.uint64(32)
+        self._has_half = count % 2 == 1
+        self._half = int(halves[-1])
+        return np.concatenate([head, halves[:count]])
+
+    def close(self) -> None:
+        """Leave the generator's half-word buffer as numpy would."""
+        state = self._bit_generator.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        self._bit_generator.state = state
+
+
+def sample_distinct_sets(
+    rng: np.random.Generator, n: int, k: int, count: int
+) -> np.ndarray:
+    """``count`` rows of ``k`` distinct indices in ``[0, n)``, in one pass.
+
+    Returns exactly what ``count`` consecutive
+    ``rng.choice(n, k, replace=False)`` calls return, stacked, and leaves
+    ``rng`` in the state they leave it in. Each call is Floyd's algorithm
+    (for ``j = n-k … n-1`` pick a uniform ``t`` on ``[0, j]``, or ``j``
+    if ``t`` is already picked; ``j = 0`` reads no word) followed by a
+    Fisher–Yates pass (for ``i = k-1 … 1`` swap picks ``i`` and a
+    uniform ``u`` on ``[0, i]``). All draws of the block are decoded at
+    once, then each step runs across all rows.
+
+    Two conditions hold for every collected fleet: ``rng`` is a PCG64
+    generator (:class:`PCG64Words` raises ``TypeError`` otherwise), and
+    ``n <= 10_000``, below which numpy draws by Floyd's algorithm
+    (collected fleets have at most 249 workloads).
+    """
+    if k > n:
+        raise ValueError(f"cannot draw {k} distinct indices from {n}")
+    floyd = range(n - k, n)
+    bounds = np.array(
+        [j for j in floyd if j > 0] + list(range(k - 1, 0, -1)), dtype=np.uint64
+    )
+    flat = np.tile(bounds, count)
+    source = PCG64Words(rng)
+    values, _ = lemire_decode(source.take(len(flat)), flat)
+    while len(values) < len(flat):
+        # Each redraw spent a word the nominal count did not cover.
+        more, _ = lemire_decode(
+            source.take(len(flat) - len(values)), flat[len(values) :]
+        )
+        values = np.concatenate([values, more])
+    source.close()
+
+    draws = iter(values.reshape(count, len(bounds)).T)
+    picks = np.empty((count, k), dtype=np.int64)
+    for step, j in enumerate(floyd):
+        t = next(draws) if j > 0 else np.zeros(count, dtype=np.int64)
+        taken = (picks[:, :step] == t[:, None]).any(axis=1)
+        picks[:, step] = np.where(taken, j, t)
+    rows = np.arange(count)
+    for i in range(k - 1, 0, -1):
+        u = next(draws)
+        held = picks[:, i].copy()
+        picks[:, i] = picks[rows, u]
+        picks[rows, u] = held
+    return picks
 
 
 @dataclass(frozen=True)
@@ -131,12 +267,11 @@ class ClusterCollector:
                 continue
             for degree in cfg.degrees:
                 # (sets, degree) matrix of distinct workloads per row.
-                sets = np.stack(
-                    [
-                        rng.choice(valid, size=degree, replace=False)
-                        for _ in range(cfg.sets_per_degree)
-                    ]
-                )
+                sets = valid[
+                    sample_distinct_sets(
+                        rng, len(valid), degree, cfg.sets_per_degree
+                    )
+                ]
                 n_sets = sets.shape[0]
                 # Failure injection (App C.3): whole-set crashes and
                 # per-member alignment timeouts, both growing with degree.
@@ -164,13 +299,14 @@ class ClusterCollector:
                     )
                     if not alive.any():
                         continue
+                    truth = true_log10[alive]
                     reps = np.clip(
-                        np.floor(cfg.time_budget_s / 10.0 ** true_log10[alive]),
+                        np.floor(cfg.time_budget_s / 10.0**truth),
                         1,
                         cfg.max_repetitions,
                     )
-                    runtime = self.model.sample_runtime(
-                        targets[alive], p_arr[alive], interf[alive], rng,
+                    runtime = 10.0 ** self.model.measure_log10(
+                        truth, p_arr[alive], interf[alive], rng,
                         averaging_reps=reps,
                     )
                     out_w.append(targets[alive])

@@ -267,23 +267,32 @@ class GroundTruthPerformanceModel:
         rng: np.random.Generator,
         averaging_reps: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Measured log10 runtime: truth + heteroscedastic noise.
+        """Measured log10 runtime: truth + heteroscedastic noise."""
+        truth = self.true_log10(w_idx, p_idx, interferers)
+        return self.measure_log10(truth, p_idx, interferers, rng, averaging_reps)
+
+    def measure_log10(
+        self,
+        truth: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+        rng: np.random.Generator,
+        averaging_reps: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One measurement of rows whose noise-free log10 runtime is ``truth``.
 
         ``averaging_reps`` models the collection procedure (each benchmark
         repeated up to 50× within 30 s and averaged), shrinking noise by
         ``sqrt(reps)``.
         """
         cfg = self.config
-        w_idx = np.asarray(w_idx)
-        p_idx = np.asarray(p_idx)
-        truth = self.true_log10(w_idx, p_idx, interferers)
         if interferers is None:
             n_int = np.zeros(len(truth))
         else:
             n_int = (np.atleast_2d(interferers) >= 0).sum(axis=1).astype(float)
         sigma = (
             (cfg.noise_base + cfg.noise_per_interferer * n_int)
-            * self._noise_scale[p_idx]
+            * self._noise_scale[np.asarray(p_idx)]
         )
         if averaging_reps is not None:
             sigma = sigma / np.sqrt(np.maximum(averaging_reps, 1.0))

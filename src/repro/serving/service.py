@@ -51,7 +51,7 @@ from ..conformal.predictor import (
     calibration_pools,
     interference_pools,
 )
-from ..core.model import EmbeddingSnapshot, PitotModel
+from ..core.model import SNAPSHOT_CHUNK, EmbeddingSnapshot, PitotModel
 
 __all__ = [
     "PredictionService",
@@ -65,7 +65,7 @@ __all__ = [
 _Key = tuple[int, int, tuple[int, ...], float]
 
 #: Upper bound on rows per shape-stable sub-batch of the forward.
-MAX_BATCH = 8192
+MAX_BATCH = SNAPSHOT_CHUNK
 
 
 def validate_choice_heads(

@@ -20,7 +20,11 @@ time the production path against them.
 * :func:`scan_entity_coverage` — split repair as one Python scan of the
   test rows per missing entity;
 * :class:`ScanFillBaseline` — the scaling baseline filling each unseen
-  entity with one scan of the whole fallback column.
+  entity with one scan of the whole fallback column;
+* :class:`ChoiceLoopCollector` — the interference campaign drawing each
+  co-running set with its own ``rng.choice`` call, and computing each
+  slot's ground truth once for the timeout test and again for its
+  measurement.
 
 ``tests/`` is on ``sys.path`` under pytest, and ``benchmarks/conftest.py``
 appends it, so both trees import this module as ``reference_paths``.
@@ -32,7 +36,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.cluster import RuntimeDataset
+from repro.cluster import ClusterCollector, RuntimeDataset
+from repro.cluster.dataset import MAX_INTERFERERS
 from repro.conformal import OnlineConformalizer
 from repro.conformal.predictor import require_calibrated
 from repro.core import (
@@ -58,6 +63,7 @@ __all__ = [
     "resolve_head_offsets",
     "scan_entity_coverage",
     "ScanFillBaseline",
+    "ChoiceLoopCollector",
 ]
 
 
@@ -431,3 +437,76 @@ class ScanFillBaseline(LinearScalingBaseline):
             self.w_bar[~w_seen] = self.w_bar[w_seen].mean() if w_seen.any() else 0.0
         if (~p_seen).any():
             self.p_bar[~p_seen] = self.p_bar[p_seen].mean() if p_seen.any() else 0.0
+
+
+# ----------------------------------------------------------------------
+# Collection campaign
+# ----------------------------------------------------------------------
+class ChoiceLoopCollector(ClusterCollector):
+    """The campaign with one ``rng.choice`` call per co-running set."""
+
+    def collect_interference(self, rng: np.random.Generator):
+        cfg = self.config
+        npf = len(self.model.platforms)
+        budget_log10 = np.log10(cfg.time_budget_s)
+
+        out_w, out_p, out_k, out_r = [], [], [], []
+        for j in range(npf):
+            valid = np.flatnonzero(
+                (~self.model.crash_table[:, j])
+                & (self.model.log10_isolation[:, j] <= budget_log10)
+            )
+            if len(valid) < max(cfg.degrees):
+                continue
+            for degree in cfg.degrees:
+                sets = np.stack(
+                    [
+                        rng.choice(valid, size=degree, replace=False)
+                        for _ in range(cfg.sets_per_degree)
+                    ]
+                )
+                n_sets = sets.shape[0]
+                set_crashed = rng.random(n_sets) < cfg.set_crash_rate * degree
+                member_timeout = (
+                    rng.random((n_sets, degree))
+                    < cfg.interference_timeout_base * (degree - 1) ** 2
+                )
+                for slot in range(degree):
+                    targets = sets[:, slot]
+                    others = np.delete(sets, slot, axis=1)
+                    pad = np.full(
+                        (n_sets, MAX_INTERFERERS - others.shape[1]), -1, dtype=int
+                    )
+                    interf = np.concatenate([others, pad], axis=1)
+                    p_arr = np.full(n_sets, j)
+                    true_log10 = self.model.true_log10(targets, p_arr, interf)
+                    alive = (
+                        (true_log10 <= budget_log10)
+                        & ~set_crashed
+                        & ~member_timeout[:, slot]
+                    )
+                    if not alive.any():
+                        continue
+                    reps = np.clip(
+                        np.floor(cfg.time_budget_s / 10.0 ** true_log10[alive]),
+                        1,
+                        cfg.max_repetitions,
+                    )
+                    runtime = self.model.sample_runtime(
+                        targets[alive], p_arr[alive], interf[alive], rng,
+                        averaging_reps=reps,
+                    )
+                    out_w.append(targets[alive])
+                    out_p.append(p_arr[alive])
+                    out_k.append(interf[alive])
+                    out_r.append(runtime)
+
+        if not out_w:
+            empty = np.empty(0, dtype=int)
+            return empty, empty, np.empty((0, MAX_INTERFERERS), dtype=int), np.empty(0)
+        return (
+            np.concatenate(out_w),
+            np.concatenate(out_p),
+            np.concatenate(out_k),
+            np.concatenate(out_r),
+        )

@@ -10,6 +10,8 @@ from repro.core import (
     PitotTrainer,
     TrainerConfig,
 )
+from repro.core.model import SNAPSHOT_CHUNK
+from repro.serving import service
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,26 @@ class TestEquivalence:
             test.w_idx, test.p_idx, test.interferers, chunk=7
         )
         np.testing.assert_array_equal(full, chunked)
+
+    def test_chunk_sizes_agree_bitwise(self, snapshot_quantile):
+        """Chunks of 1, 7, the default and more than n rows give the same
+        bits on a batch that spans several default chunks."""
+        snap = snapshot_quantile
+        rng = np.random.default_rng(5)
+        n = 2 * SNAPSHOT_CHUNK + 37
+        n_workloads, n_platforms = snap.W.shape[0], snap.P.shape[0]
+        w = rng.integers(0, n_workloads, n)
+        p = rng.integers(0, n_platforms, n)
+        k = rng.integers(-1, n_workloads, (n, 3))
+        whole = snap.predict_log(w, p, k, chunk=n + 1)
+        for chunk in (1, 7, SNAPSHOT_CHUNK):
+            np.testing.assert_array_equal(
+                snap.predict_log(w, p, k, chunk=chunk), whole
+            )
+        np.testing.assert_array_equal(snap.predict_log(w, p, k), whole)
+
+    def test_default_chunk_is_the_serving_batch(self):
+        assert SNAPSHOT_CHUNK == service.MAX_BATCH == 8192
 
     def test_one_dimensional_interferer_row_is_one_query(
         self, trained_pitot, snapshot
