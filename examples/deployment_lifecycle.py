@@ -8,8 +8,10 @@ learning". This example runs both defenses:
 
 * the CUSUM phase detector splits a workload's history when its runtime
   level shifts, so the new phase can be treated as a new workload;
-* the sliding-window online conformalizer restores bound coverage after
-  a platform slows down, without retraining.
+* a rolling-window recalibration through the production lifecycle verbs
+  (``LifecycleManager`` ingest → recalibrate → promote, model frozen)
+  restores bound coverage after a platform slows down, without
+  retraining.
 
     python examples/deployment_lifecycle.py
 """
@@ -19,7 +21,7 @@ import numpy as np
 from repro import (
     PAPER_QUANTILES,
     ConformalRuntimePredictor,
-    OnlineConformalizer,
+    LifecycleManager,
     PitotConfig,
     TrainerConfig,
     collect_dataset,
@@ -78,35 +80,38 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 2. Platform drift: everything runs 1.5x slower from now on.
-    #    The static predictor's 90% budgets silently fail; the online
-    #    window recovers.
+    #    The static predictor's 90% budgets silently fail; a rolling
+    #    window of recent observations, recalibrated and promoted with
+    #    the model frozen, recovers.
     # ------------------------------------------------------------------
     test = split.test
     order = rng.permutation(test.n_observations)
-    stream_rows, eval_rows = order[: len(order) // 2], order[len(order) // 2:]
+    stream = test.subset(order[: len(order) // 2])
+    evaluation = test.subset(order[len(order) // 2:])
     drift = 1.5
-    head = static.choices[(0.1, -1)].head
-    online = OnlineConformalizer(result.model, head=head, window=2000)
     cal = split.calibration
-    online.observe(cal.w_idx, cal.p_idx, cal.interferers, cal.runtime)
-    online.observe(
-        test.w_idx[stream_rows], test.p_idx[stream_rows],
-        test.interferers[stream_rows], test.runtime[stream_rows] * drift,
+    manager = LifecycleManager(
+        result.model.clone(), static, features_from=cal,
+        window=500, epsilons=(0.1,),
     )
+    manager.ingest(cal.w_idx, cal.p_idx, cal.interferers, cal.runtime)
+    manager.ingest(
+        stream.w_idx, stream.p_idx, stream.interferers,
+        stream.runtime * drift,
+    )
+    manager.promote(manager.recalibrate())
 
-    drifted = test.runtime[eval_rows] * drift
+    drifted = evaluation.runtime * drift
     static_bound = static.predict_bound(
-        test.w_idx[eval_rows], test.p_idx[eval_rows],
-        test.interferers[eval_rows], 0.1,
+        evaluation.w_idx, evaluation.p_idx, evaluation.interferers, 0.1
     )
-    online_bound = online.predict_bound(
-        test.w_idx[eval_rows], test.p_idx[eval_rows],
-        test.interferers[eval_rows], 0.1,
-    )
+    online_bound = manager.service.predict_bound_sweep(
+        evaluation.w_idx, evaluation.p_idx, evaluation.interferers, (0.1,)
+    )[:, 0]
     print(f"\nplatform drift ({drift}x slowdown), 90% budgets:")
     print(f"  static conformal coverage: {coverage(static_bound, drifted):.3f}"
           "  <- silently broken")
-    print(f"  online window coverage:    {coverage(online_bound, drifted):.3f}"
+    print(f"  rolling window coverage:   {coverage(online_bound, drifted):.3f}"
           "  <- restored without retraining")
 
 

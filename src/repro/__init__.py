@@ -71,7 +71,7 @@ from .cluster import (
     make_split,
     replicate_splits,
 )
-from .conformal import ConformalRuntimePredictor, OnlineConformalizer, conformal_offset
+from .conformal import ConformalRuntimePredictor, conformal_offset
 from .core import (
     PAPER_QUANTILES,
     EmbeddingSnapshot,
@@ -160,7 +160,6 @@ __all__ = [
     "run_lifecycle",
     # conformal
     "ConformalRuntimePredictor",
-    "OnlineConformalizer",
     "conformal_offset",
     # serving
     "EmbeddingSnapshot",

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's training steps")
     p.add_argument("--margin", default=None, choices=MARGIN_MODES,
                    help="conformal margin mode override "
-                        "(naive/weighted/bootstrap/mnar)")
+                        "(naive/weighted/mnar)")
 
     p = sub.add_parser(
         "lifecycle",

@@ -107,7 +107,8 @@ class BoundQuery:
     point. Subsets of a canonical query stay canonical (:meth:`take`).
 
     ``population`` is whatever serves the bound: any object with
-    ``n_workloads`` and ``n_platforms`` (a model, snapshot, or service).
+    ``n_workloads`` and ``n_platforms`` (a model, snapshot, service, or
+    the dataset a lifecycle window is materialized against).
     Failures raise ``ValueError`` naming the offending field.
     """
 

@@ -3,7 +3,7 @@
 One-sided split conformal regression, conformalized quantile regression
 with the paper's optimal-quantile-choice selection, per-interference-
 degree calibration pools, and a vectorized margin engine with robust
-modes (recency-weighted, bootstrap-median, MNAR inverse-propensity).
+modes (recency-weighted, MNAR inverse-propensity).
 """
 
 from .margins import (
@@ -16,7 +16,6 @@ from .margins import (
     propensity_weights,
     recency_weights,
 )
-from .online import OnlineConformalizer
 from .predictor import (
     ConformalRuntimePredictor,
     HeadChoice,
@@ -29,7 +28,6 @@ from .split import conformal_offset, conformal_offsets_by_pool
 __all__ = [
     "MARGIN_MODES",
     "ConformalRuntimePredictor",
-    "OnlineConformalizer",
     "HeadChoice",
     "HeadOffsetTable",
     "MarginEstimator",

@@ -1,4 +1,4 @@
-"""Vectorized margin estimators: naive, weighted, bootstrap, MNAR.
+"""Vectorized margin estimators: naive, weighted, MNAR.
 
 The split-conformal offset of :mod:`repro.conformal.split` assumes the
 calibration scores are exchangeable with the test scores. Two deployment
@@ -18,16 +18,12 @@ the mean weight (the test point's stand-in weight). Under uniform weights
 this reduces *exactly* to the unweighted ``⌈(n+1)(1−ε)⌉``-th order
 statistic — the property tests pin that reduction bitwise.
 
-Four modes, one strategy interface (:class:`MarginEstimator`):
+Three modes, one strategy interface (:class:`MarginEstimator`):
 
 * ``naive`` — the plain order statistic; bitwise-identical to
   :func:`repro.conformal.split.conformal_offset`.
 * ``weighted`` — exponential recency weights ``w_i = exp(i/τ)`` (newest
   weight 1 after overflow-safe normalization).
-* ``bootstrap`` — median of per-resample order statistics over a single
-  ``(B, n)`` vectorized resample per pool; seeds derive from the *sorted
-  score content*, so the margin is invariant to pool relabeling and
-  within-pool permutation.
 * ``mnar`` — inverse rank-one propensity weights estimated from the
   dataset's observation mask (row/column observation counts), clipped
   for variance control.
@@ -40,7 +36,6 @@ out of one gather — no per-pool ``np.unique`` masking loops.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -62,7 +57,7 @@ __all__ = [
 ]
 
 #: Margin-estimator modes a :class:`MarginParams` may request.
-MARGIN_MODES = ("naive", "weighted", "bootstrap", "mnar")
+MARGIN_MODES = ("naive", "weighted", "mnar")
 
 
 @dataclass(frozen=True)
@@ -77,20 +72,14 @@ class MarginParams:
         Recency time-scale for ``weighted`` mode: observation ``i`` (in
         arrival order) gets weight ``exp((i − i_max)/τ)``. Larger τ →
         longer memory; τ → ∞ recovers ``naive``.
-    n_bootstrap:
-        Resamples ``B`` for ``bootstrap`` mode.
     clip:
         Inverse-propensity weight cap for ``mnar`` mode (weights are
         normalized to mean 1 then clipped into ``[1/clip, clip]``).
-    seed:
-        Base seed folded into ``bootstrap``'s content-derived streams.
     """
 
     mode: str = "naive"
     tau: float = 500.0
-    n_bootstrap: int = 64
     clip: float = 20.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MARGIN_MODES:
@@ -100,10 +89,6 @@ class MarginParams:
             )
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.n_bootstrap < 1:
-            raise ValueError(
-                f"n_bootstrap must be >= 1, got {self.n_bootstrap}"
-            )
         if not self.clip >= 1.0:
             raise ValueError(f"clip must be >= 1, got {self.clip}")
 
@@ -117,7 +102,6 @@ class MarginParams:
         return cls(
             mode=getattr(conformal, "margin", "naive"),
             tau=getattr(conformal, "margin_tau", 500.0),
-            n_bootstrap=getattr(conformal, "margin_bootstrap", 64),
             clip=getattr(conformal, "margin_clip", 20.0),
         )
 
@@ -195,13 +179,12 @@ def recency_weights(
 
     ``i`` is arrival order — the row position by default, or the caller's
     explicit ``arrivals`` tags when the calibration rows are a *subset*
-    of a larger event stream (a rolling window's every-Kth hold-out, the
-    online conformalizer's global counter). Explicit tags keep τ in
-    stream-event units everywhere instead of silently dilating by the
-    subsampling factor. Normalizing by the newest weight keeps the
-    largest exponent at 0 so no window length or τ can overflow; the
-    weighted-quantile threshold is scale-invariant, so the normalization
-    does not change any margin.
+    of a larger event stream (a rolling window's every-Kth hold-out).
+    Explicit tags keep τ in stream-event units instead of silently
+    dilating by the subsampling factor. Normalizing by the newest weight
+    keeps the largest exponent at 0 so no window length or τ can
+    overflow; the weighted-quantile threshold is scale-invariant, so the
+    normalization does not change any margin.
     """
     if arrivals is not None:
         arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -284,42 +267,6 @@ def _weighted_cut(
     if j >= n:
         return float("inf")
     return float(sorted_scores[j])
-
-
-def _content_rng(
-    sorted_scores: np.ndarray, seed: int
-) -> np.random.Generator:
-    """Generator seeded from the *sorted score content* plus a base seed.
-
-    Deriving the stream from a content digest (rather than a pool id or
-    call order) makes bootstrap margins invariant to pool relabeling and
-    within-pool permutation while staying fully deterministic.
-    """
-    digest = hashlib.sha256(
-        np.ascontiguousarray(sorted_scores, dtype=np.float64).tobytes()
-    ).digest()
-    entropy = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
-
-
-def _bootstrap_cut(
-    sorted_scores: np.ndarray, epsilon: float, params: MarginParams
-) -> float:
-    """Bootstrap-median margin of one pre-sorted segment.
-
-    One ``(B, n)`` resample, per-row order statistic via a single
-    axis-1 partition, median over resamples — no per-resample Python
-    loop.
-    """
-    n = len(sorted_scores)
-    k = _naive_k(n, epsilon)
-    if n == 0 or k > n:
-        return float("inf")
-    rng = _content_rng(sorted_scores, params.seed)
-    draws = rng.integers(0, n, size=(params.n_bootstrap, n))
-    samples = sorted_scores[draws]
-    stats = np.partition(samples, k - 1, axis=1)[:, k - 1]
-    return float(np.median(stats))
 
 
 # ----------------------------------------------------------------------
@@ -487,35 +434,9 @@ class MnarMargin(WeightedMargin):
         return None
 
 
-class BootstrapMargin(MarginEstimator):
-    """Bootstrap-median margins, one vectorized resample per pool."""
-
-    mode = "bootstrap"
-
-    def offsets_by_pool(
-        self,
-        prepared: SortedScores,
-        epsilon: float,
-        weights: np.ndarray | None = None,
-        min_pool_size: int | None = None,
-    ) -> dict[int, float]:
-        index = prepared.index
-        out = {
-            -1: _bootstrap_cut(prepared.global_sorted, epsilon, self.params)
-        }
-        qualifying = self._qualifying(index, epsilon, min_pool_size)
-        for i in np.flatnonzero(qualifying):
-            start = index.starts[i]
-            stop = start + index.counts[i]
-            out[int(index.unique[i])] = _bootstrap_cut(
-                prepared.by_pool[start:stop], epsilon, self.params
-            )
-        return out
-
-
 _ESTIMATORS: dict[str, type[MarginEstimator]] = {
     cls.mode: cls
-    for cls in (NaiveMargin, WeightedMargin, BootstrapMargin, MnarMargin)
+    for cls in (NaiveMargin, WeightedMargin, MnarMargin)
 }
 
 

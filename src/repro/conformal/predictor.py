@@ -175,7 +175,7 @@ class ConformalRuntimePredictor:
         Calibrate per interference degree (paper) or globally.
     margin:
         Margin-estimator mode or :class:`MarginParams`
-        (``naive``/``weighted``/``bootstrap``/``mnar``); ``naive`` is
+        (``naive``/``weighted``/``mnar``); ``naive`` is
         bitwise-identical to the pre-engine split-conformal path.
     """
 
@@ -253,9 +253,10 @@ class ConformalRuntimePredictor:
 
         ``arrivals`` (optional) tags each calibration row with its
         position in the originating event stream; under ``weighted``
-        margins the recency decay then runs in stream-event units — the
-        same clock the online conformalizer uses — instead of dilating τ
-        by the hold-out's subsampling factor.
+        margins the recency decay then runs in stream-event units (a
+        rolling window's positions, see
+        :meth:`repro.lifecycle.LifecycleManager.calibration_rows`) instead
+        of dilating τ by the hold-out's subsampling factor.
 
         ``scorer`` (optional) scores the calibration rows in place of the
         wrapped model: any object with the model's ``predict_log`` and

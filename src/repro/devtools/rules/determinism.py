@@ -113,9 +113,9 @@ class SeededRandomnessRule(LintRule):
                         module,
                         node,
                         f"np.random.{attr}() without a seed pulls OS "
-                        f"entropy, so bootstrap draws (and their margins) "
-                        f"stop reproducing; derive the seed from the spec "
-                        f"or the calibration content",
+                        f"entropy, so resampled draws (and everything "
+                        f"computed from them) stop reproducing; derive the "
+                        f"seed from the spec or the data content",
                     )
                 return
             if attr not in _ALLOWED_ATTRS:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..cluster.dataset import RuntimeDataset
+from ..cluster.dataset import BoundQuery, RuntimeDataset
 from ..cluster.stream import ObservationBuffer
 from ..conformal.predictor import ConformalRuntimePredictor
 from ..core.model import EmbeddingSnapshot, PitotModel
@@ -205,7 +205,13 @@ class LifecycleManager:
         interferers: np.ndarray | None,
         runtime: np.ndarray,
     ) -> int:
-        """Stream a batch of fresh observations into the rolling window."""
+        """Stream a batch of fresh observations into the rolling window.
+
+        Indices are checked against ``features_from`` the way bound
+        queries are, so a malformed batch raises naming its field and
+        buffers nothing; valid rows are stored exactly as given.
+        """
+        BoundQuery.from_arrays(w_idx, p_idx, interferers, self.features_from)
         return self.buffer.ingest(w_idx, p_idx, interferers, runtime)
 
     def update(

@@ -701,9 +701,7 @@ def _write_predictor_json(path: Path, predictor: ConformalRuntimePredictor) -> N
                 "margin": {
                     "mode": predictor.margin.mode,
                     "tau": predictor.margin.tau,
-                    "n_bootstrap": predictor.margin.n_bootstrap,
                     "clip": predictor.margin.clip,
-                    "seed": predictor.margin.seed,
                 },
                 "epsilons": predictor._calibrated_epsilons,
                 "choices": [

@@ -21,7 +21,7 @@ derived :class:`ScenarioSpec`:
 * ``strategies`` — conformal mode axis (``None`` keeps the scenario's
   own mode, i.e. auto-select).
 * ``margins`` — conformal margin-estimator axis
-  (``naive``/``weighted``/``bootstrap``/``mnar``; ``None`` keeps the
+  (``naive``/``weighted``/``mnar``; ``None`` keeps the
   scenario's own margin). Orthogonal to ``strategies``: the strategy
   picks *which head* is calibrated, the margin picks *how* its offset
   is estimated, so the two compose freely in one grid.

@@ -47,13 +47,15 @@ __all__ = [
 #: retired; each training operation has one production path.
 #: v7: the forced dense/sparse switch is retired; every step chooses its
 #: tower plan from the batch.
-SPEC_SCHEMA_VERSION = 7
+#: v8: the ``bootstrap`` margin mode and its ``margin_bootstrap`` knob are
+#: retired; margins are ``naive``, ``weighted`` or ``mnar``.
+SPEC_SCHEMA_VERSION = 8
 
 #: Margin-estimator modes of the conformal engine. Deliberately a local
 #: copy of :data:`repro.conformal.margins.MARGIN_MODES` — the scenarios
 #: layer must not import the conformal layer; a cross-check test pins
 #: the two tuples equal.
-MARGIN_MODES = ("naive", "weighted", "bootstrap", "mnar")
+MARGIN_MODES = ("naive", "weighted", "mnar")
 
 #: Placement policies the cluster simulator implements
 #: (:mod:`repro.orchestration.simulator`).
@@ -157,8 +159,6 @@ class ConformalSpec:
     #: in *stream-event* units: arrival tags, not calibration-row index,
     #: drive the decay wherever the hold-out subsamples a wider window.
     margin_tau: float = 500.0
-    #: Bootstrap resamples B for ``bootstrap`` margins.
-    margin_bootstrap: int = 64
     #: Inverse-propensity weight cap for ``mnar`` margins.
     margin_clip: float = 20.0
 
@@ -175,10 +175,6 @@ class ConformalSpec:
         if not self.margin_tau > 0:
             raise ValueError(
                 f"margin_tau must be positive, got {self.margin_tau}"
-            )
-        if self.margin_bootstrap < 1:
-            raise ValueError(
-                f"margin_bootstrap must be >= 1, got {self.margin_bootstrap}"
             )
         if not self.margin_clip >= 1.0:
             raise ValueError(
@@ -524,7 +520,6 @@ _SCALED_FIELDS = {
     "use_pools": "conformal",
     "margin": "conformal",
     "margin_tau": "conformal",
-    "margin_bootstrap": "conformal",
     "margin_clip": "conformal",
     "phases": "drift",
     "events_per_phase": "drift",

@@ -45,7 +45,7 @@ def test_rpr001_flags_legacy_global_draws_and_imports(lint_tree):
 def test_rpr001_flags_unseeded_bitgen_constructors(lint_tree):
     # The escape hatches a bootstrap resampler could take around the
     # default_rng() check: bare SeedSequence()/PCG64() pull OS entropy,
-    # so bootstrap margins would stop reproducing across runs.
+    # so resampled results would stop reproducing across runs.
     source = textwrap.dedent(
         """
         import numpy as np

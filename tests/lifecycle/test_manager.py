@@ -153,6 +153,49 @@ class TestManagerVerbs:
         )
         assert not manager.ready_to_recalibrate()
 
+    @pytest.mark.parametrize(
+        "column, value, field",
+        [
+            ("w_idx", -1, "workload"),
+            ("w_idx", "n_workloads", "workload"),
+            ("p_idx", "n_platforms", "platform"),
+            ("interferers", -5, "interferer"),
+        ],
+    )
+    def test_malformed_observations_rejected(
+        self, pipeline, column, value, field
+    ):
+        """A batch with an out-of-range index raises naming its field and
+        buffers nothing: a negative index would otherwise wrap to a real
+        entity when the window is scored."""
+        dataset = pipeline.dataset
+        manager = LifecycleManager(
+            pipeline.model.clone(),
+            pipeline.predictor,
+            features_from=dataset,
+            window=200,
+            epsilons=(EPS,),
+        )
+        batch = pipeline.split.test.subset(np.arange(40))
+        manager.ingest(
+            batch.w_idx, batch.p_idx, batch.interferers, batch.runtime
+        )
+        before = manager.buffer.n_buffered()
+        bad = {
+            "w_idx": batch.w_idx.copy(),
+            "p_idx": batch.p_idx.copy(),
+            "interferers": batch.interferers.copy(),
+        }
+        index = (7, 0) if column == "interferers" else 7
+        if isinstance(value, str):
+            value = getattr(dataset, value)
+        bad[column][index] = value
+        with pytest.raises(ValueError, match=field):
+            manager.ingest(
+                bad["w_idx"], bad["p_idx"], bad["interferers"], batch.runtime
+            )
+        assert manager.buffer.n_buffered() == before
+
 
 class TestCoverageOverTime:
     def test_acceptance_recalibrated_coverage_static_degrades(self, lifecycle):

@@ -13,8 +13,6 @@ time the production path against them.
   :class:`RowByRowBounds`;
 * :class:`ScalarEventSimulator` — the cluster simulator with its epoch
   events replayed as per-platform Python loops;
-* :class:`DequeConformalizer` — online conformal ingest as one ``deque``
-  append per score, re-sorting the window on every recalibration;
 * :func:`resolve_head_offsets` — the per-batch ``np.unique`` (head,
   offset) lookup that :class:`~repro.conformal.HeadOffsetTable` replaced;
 * :func:`scan_entity_coverage` — split repair as one Python scan of the
@@ -32,13 +30,10 @@ appends it, so both trees import this module as ``reference_paths``.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.cluster import ClusterCollector, RuntimeDataset
 from repro.cluster.dataset import MAX_INTERFERERS
-from repro.conformal import OnlineConformalizer
 from repro.conformal.predictor import require_calibrated
 from repro.core import (
     LinearScalingBaseline,
@@ -59,7 +54,6 @@ __all__ = [
     "row_by_row_oracle",
     "reference_runtime",
     "ScalarEventSimulator",
-    "DequeConformalizer",
     "resolve_head_offsets",
     "scan_entity_coverage",
     "ScanFillBaseline",
@@ -244,116 +238,6 @@ class ScalarEventSimulator(ClusterSimulator):
                 t, job, fraction, allowance, stats, heap, seq, dirty
             )
         return seq
-
-
-# ----------------------------------------------------------------------
-# Online conformal ingest
-# ----------------------------------------------------------------------
-class DequeConformalizer(OnlineConformalizer):
-    """:class:`OnlineConformalizer` on the original per-score ``deque``
-    windows: each recalibration re-sorts what the windows retain."""
-
-    def __init__(self, model, head=0, window=2000, margin="naive") -> None:
-        super().__init__(model, head=head, window=window, margin=margin)
-        self._scores: dict[int, deque[float]] = {}
-        self._arrivals: dict[int, deque[int]] = {}
-        self._cells: dict[int, deque[tuple[int, int]]] = {}
-
-    def observe(self, w_idx, p_idx, interferers, runtime_seconds) -> None:
-        runtime_seconds = np.asarray(runtime_seconds, dtype=np.float64)
-        if np.any(runtime_seconds <= 0):
-            raise ValueError("runtimes must be positive")
-        pred = self.model.predict_log(w_idx, p_idx, interferers)[:, self.head]
-        scores = np.log(runtime_seconds) - pred
-        pools = self._pool_of(interferers, len(scores))
-        arrivals = self._seq + np.arange(len(scores), dtype=np.int64)
-        self._seq += len(scores)
-        for i, (pool, score) in enumerate(zip(pools.tolist(), scores.tolist())):
-            self._scores.setdefault(pool, deque(maxlen=self.window)).append(score)
-            self._arrivals.setdefault(pool, deque(maxlen=self.window)).append(
-                int(arrivals[i])
-            )
-            if self._track_cells:
-                self._cells.setdefault(pool, deque(maxlen=self.window)).append(
-                    (int(w_idx[i]), int(p_idx[i]))
-                )
-
-    def n_observed(self, pool: int | None = None) -> int:
-        if pool is not None:
-            return len(self._scores.get(pool, ()))
-        return sum(len(q) for q in self._scores.values())
-
-    def pool_scores(self, pool: int) -> np.ndarray:
-        return np.asarray(self._scores.get(pool, ()), dtype=np.float64)
-
-    def _pool_window_sorted(self, pool: int):
-        scores = np.asarray(self._scores.get(pool, ()), dtype=np.float64)
-        arrivals = np.asarray(self._arrivals.get(pool, ()), dtype=np.int64)
-        order = np.argsort(scores, kind="stable")
-        return scores[order], arrivals[order]
-
-    def _merged_sorted(self):
-        pools = self._tracked_pools()
-        if not pools:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        per_pool = [self._pool_window_sorted(pool) for pool in pools]
-        scores = np.concatenate([s for s, _ in per_pool])
-        arrivals = np.concatenate([a for _, a in per_pool])
-        order = np.argsort(scores, kind="stable")
-        return scores[order], arrivals[order]
-
-    def _tracked_pools(self) -> list[int]:
-        return sorted(self._scores)
-
-    def _window_cells(self):
-        ws, ps = [], []
-        for cells in self._cells.values():
-            if cells:
-                pairs = np.asarray(cells, dtype=np.intp)
-                ws.append(pairs[:, 0])
-                ps.append(pairs[:, 1])
-        if not ws:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        return np.concatenate(ws), np.concatenate(ps)
-
-    def _mnar_weights_by_pool(self) -> dict[int, np.ndarray]:
-        w_all, p_all = self._window_cells()
-        if not len(w_all):
-            return {}
-        weights: dict[int, np.ndarray] = {}
-        row_counts = np.bincount(w_all).astype(np.float64)
-        col_counts = np.bincount(p_all).astype(np.float64)
-        n = float(len(w_all))
-        for pool in self._tracked_pools():
-            pairs = np.asarray(self._cells.get(pool, ()), dtype=np.intp)
-            if not len(pairs):
-                weights[pool] = np.empty(0)
-                continue
-            order = np.argsort(
-                np.asarray(self._scores[pool], dtype=np.float64), kind="stable"
-            )
-            w_idx, p_idx = pairs[order, 0], pairs[order, 1]
-            propensity = row_counts[w_idx] * col_counts[p_idx] / n
-            w = 1.0 / propensity
-            w /= w.mean()
-            np.clip(w, 1.0 / self.margin.clip, self.margin.clip, out=w)
-            weights[pool] = w
-        return weights
-
-    def _merged_cut(self, epsilon: float) -> float:
-        scores, arrivals = self._merged_sorted()
-        cell_weights = None
-        if self.margin.mode == "mnar" and len(scores):
-            per_pool = self._mnar_weights_by_pool()
-            pools_sorted = self._tracked_pools()
-            unsorted = np.concatenate(
-                [self._pool_window_sorted(p)[0] for p in pools_sorted]
-            )
-            stacked = np.concatenate(
-                [per_pool[p] for p in pools_sorted if p in per_pool]
-            )
-            cell_weights = stacked[np.argsort(unsorted, kind="stable")]
-        return self._cut(scores, arrivals, epsilon, cell_weights)
 
 
 # ----------------------------------------------------------------------

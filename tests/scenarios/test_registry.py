@@ -106,7 +106,10 @@ class TestSpecDerivation:
 
     @pytest.mark.parametrize(
         "knob",
-        ["grad_workers", "fused_kernels", "tape_cache", "sparse_embeddings"],
+        [
+            "grad_workers", "fused_kernels", "tape_cache", "sparse_embeddings",
+            "margin_bootstrap",
+        ],
     )
     def test_retired_engine_knobs_are_unknown(self, knob):
         with pytest.raises(ValueError, match="unknown scenario knob"):
@@ -157,8 +160,6 @@ class TestSpecValidation:
             ConformalSpec(margin="jackknife")
         with pytest.raises(ValueError, match="margin_tau"):
             ConformalSpec(margin_tau=0.0)
-        with pytest.raises(ValueError, match="margin_bootstrap"):
-            ConformalSpec(margin_bootstrap=0)
         with pytest.raises(ValueError, match="margin_clip"):
             ConformalSpec(margin_clip=0.9)
 

@@ -56,13 +56,13 @@ class TestExpansion:
 
     def test_margin_axis_derives_conformal_spec(self):
         grid = SweepGrid(scenarios=("smoke",),
-                         margins=(None, "weighted", "bootstrap"))
-        default, weighted, bootstrap = expand_grid(grid)
+                         margins=(None, "weighted", "mnar"))
+        default, weighted, mnar = expand_grid(grid)
         assert default.margin is None
         assert default.spec.conformal.margin == "naive"
         assert weighted.cell_id == "smoke+s0+weighted"
         assert weighted.spec.conformal.margin == "weighted"
-        assert bootstrap.spec.conformal.margin == "bootstrap"
+        assert mnar.spec.conformal.margin == "mnar"
 
     def test_margin_axis_orthogonal_to_strategies(self):
         grid = SweepGrid(scenarios=("smoke",), strategies=("pitot", "split"),

@@ -1,10 +1,20 @@
 """Documentation consistency: the repo's promises stay true."""
 
+import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Repo paths a document may name, with the directory each resolves in.
+_DOC_PATHS = (
+    (re.compile(r"\bbench_\w+\.py"), ROOT / "benchmarks"),
+    (re.compile(r"\bBENCH_\w+\.json"), ROOT / "benchmarks" / "results"),
+    (re.compile(r"\btests/[\w/]+\.py"), ROOT),
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +74,34 @@ def test_experiments_covers_every_paper_artifact(experiments):
         "Fig 8", "Fig 10", "Fig 11", "Fig 12a", "Fig 12d", "Sec 3.6",
     ):
         assert artifact in experiments, f"{artifact} missing from EXPERIMENTS.md"
+
+
+@pytest.mark.parametrize("document", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+def test_documents_name_only_existing_paths(document):
+    text = (ROOT / document).read_text()
+    for pattern, base in _DOC_PATHS:
+        for name in sorted(set(pattern.findall(text))):
+            assert (base / name).exists(), f"{document} names missing {name}"
+
+
+def test_example_imports_resolve():
+    """Every name an example imports from ``repro`` exists (read from the
+    source, so no example runs)."""
+    for example in sorted((ROOT / "examples").glob("*.py")):
+        for node in ast.walk(ast.parse(example.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                names = []
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for module_name in modules:
+                if module_name.split(".")[0] != "repro":
+                    continue
+                module = importlib.import_module(module_name)
+                for name in names:
+                    assert hasattr(module, name), (
+                        f"{example.name}: {module_name}.{name} does not exist"
+                    )

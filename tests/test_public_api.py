@@ -67,7 +67,7 @@ def test_readme_quickstart_names_exist():
     for name in (
         "collect_dataset", "make_split", "train_pitot", "PitotConfig",
         "TrainerConfig", "PAPER_QUANTILES", "ConformalRuntimePredictor",
-        "save_model", "load_model", "OnlineConformalizer",
+        "save_model", "load_model",
         "PredictionService", "EmbeddingSnapshot",
         "ScenarioSpec", "get_scenario", "run_pipeline", "ArtifactStore",
         "PipelineResult",
