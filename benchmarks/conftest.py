@@ -332,27 +332,52 @@ def sweep_error_tables(zoo, scale, model_for, names, title: str) -> str:
 
 #: BENCH_<name>.json schema. v1 carried name/scale/results; v2 adds
 #: ``git_sha`` and ``timestamp`` so the perf trajectory is attributable
-#: across PRs. Readers must treat the provenance fields as optional
-#: (``.get``) so v1 archives stay loadable.
+#: across PRs, and the optional ``git_dirty``. Readers must treat the
+#: provenance fields as optional (``.get``) so v1 archives stay loadable.
 BENCH_SCHEMA_VERSION = 2
 
 
-def _git_sha() -> str | None:
-    """Current commit SHA, or ``None`` outside a usable git checkout."""
+def _git(*args: str, cwd: Path = Path(__file__).parent) -> str | None:
+    """Standard output of ``git args`` in ``cwd``; ``None`` outside a
+    usable git checkout."""
     import subprocess
 
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
+            ["git", *args],
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_sha() -> str | None:
+    """Current commit SHA, or ``None`` outside a usable git checkout."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha or None
+
+
+def _git_dirty(cwd: Path = Path(__file__).parent) -> bool | None:
+    """Whether a tracked file outside ``benchmarks/results/`` differs from
+    ``HEAD``, i.e. the numbers come from a tree ``git_sha`` does not name;
+    ``None`` outside a usable git checkout.
+
+    The result archives are left out: a bench rewrites them before they
+    can be committed, so they always differ when a run is archived.
+    """
+    status = _git("status", "--porcelain", "--untracked-files=no", cwd=cwd)
+    if status is None:
+        return None
+    paths = [
+        path.strip('"')
+        for line in status.splitlines()
+        for path in line[3:].split(" -> ")
+    ]
+    return any(not path.startswith("benchmarks/results/") for path in paths)
 
 
 def emit(
@@ -376,6 +401,7 @@ def emit(
             "name": name,
             "scale": current_scale().name,
             "git_sha": _git_sha(),
+            "git_dirty": _git_dirty(),
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
             ),

@@ -1,63 +1,74 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Wraps the library's main flows for shell use:
+Every model-backed command works on one scenario in the
+content-addressed artifact store: ``--scenario`` names a registry entry,
+``--store`` the store root, and each repeatable ``--set KEY=VALUE``
+replaces one leaf knob through :meth:`ScenarioSpec.scaled` (JSON values,
+e.g. ``--set steps=40 --set 'epsilons=[0.1,0.05]'``).
 
 * ``scenarios list`` — show the named-scenario registry;
-* ``pipeline run`` — run the staged ``collect → scale → train →
-  calibrate → evaluate → snapshot`` pipeline for a scenario through the
-  content-addressed artifact cache;
-* ``collect`` — run the simulated cluster campaign, save an ``.npz``
-  dataset;
-* ``train`` — fit Pitot on a saved dataset, save the model;
-* ``evaluate`` — MAPE / coverage / margin of a saved model on a dataset;
-* ``predict`` — runtime (and optional budget) for one workload/platform
-  pair with co-runners;
-* ``serve`` — answer a stream of bound queries through the batched,
-  embedding-cached :class:`~repro.serving.PredictionService`;
-* ``bench-serve`` — compare serving throughput: per-call model forward
-  vs. snapshot batching vs. LRU-cached lookups;
+* ``pipeline run`` — run ``collect → scale → train → calibrate →
+  evaluate → snapshot`` through the store and print the test metrics;
 * ``lifecycle run`` — replay a drift scenario's observation stream
   through the continual loop (ingest → warm update → rolling
   recalibration → atomic swap) and report coverage over time against a
   never-recalibrated baseline;
 * ``schedule run`` — play a scheduling scenario's job stream through
-  the event-driven cluster simulator (placement on batched conformal
-  budgets, deadline-risk migration, online lifecycle recalibration) and
-  report per-epoch placement/violation/utilization against a
-  never-recalibrated scheduler.
+  the event-driven cluster simulator and report per-epoch
+  placement/violation/utilization against a never-recalibrated
+  scheduler;
+* ``predict`` — runtime for one workload/platform pair with co-runners;
+* ``serve`` — answer a stream of bound queries at the spec's ε grid,
+  in-process or through N shard workers;
+* ``bench-serve`` — serving throughput (per-call forward vs. snapshot
+  batch vs. LRU), or tail latency under an open-loop arrival trace;
+* ``sweep run`` — a grid of scenario cells as one deduplicated plan;
+* ``store ls`` / ``store gc`` — inspect and prune the artifact store;
+* ``lint`` — check the repo's invariants with the AST linter.
 
-The one-off commands (``collect``/``train``/``evaluate``) are thin
-wrappers over the same stage functions the pipeline runs — the CLI no
-longer re-implements the campaign protocol, it parameterizes it.
+``lifecycle``, ``schedule``, ``predict``, ``serve`` and ``bench-serve``
+build on a trained scenario and never train one: without its trained
+stages in the store they exit 2 and print the ``pipeline run`` command
+that trains it. The serving commands read the committed ``calibrate``
+and ``snapshot`` artifacts as they are.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from .cluster import BoundQuery, RuntimeDataset
-from .core import PAPER_QUANTILES, load_model, save_model
-from .eval import coverage, mape, overprovision_margin
-from .pipeline import (
-    ArtifactStore,
-    calibrate_stage,
-    collect_stage,
-    make_scenario_split,
-    pipeline_stage_keys,
-    run_pipeline,
-    snapshot_stage,
-    train_stage,
-)
+from .cluster import BoundQuery
+from .pipeline import ArtifactStore, pipeline_stage_keys, run_pipeline
 from .devtools.lint import add_lint_arguments
 from .devtools.lint import run as _run_lint
-from .scenarios import MARGIN_MODES, get_scenario, iter_scenarios
+from .scenarios import MARGIN_MODES, ScenarioSpec, get_scenario, iter_scenarios
 from .serving import PredictionService, ShardedPredictionService
 
 __all__ = ["main", "build_parser"]
+
+#: The stages a command that builds on a trained scenario needs
+#: committed, and the longer prefix the serving commands read.
+_TRAINED = ("collect", "scale", "train", "calibrate")
+_SERVABLE = _TRAINED + ("evaluate", "snapshot")
+
+
+def _add_scenario_arguments(p: argparse.ArgumentParser, default: str) -> None:
+    """``--scenario``, ``--store`` and ``--set``: one spec in one store."""
+    p.add_argument("--scenario", default=default,
+                   help="registry name (see `repro scenarios list`)")
+    p.add_argument("--store", default=".repro-cache",
+                   help="artifact-store root (content-addressed stage cache)")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   dest="overrides",
+                   help="scenario knob override, e.g. --set steps=40 "
+                        "(repeatable; JSON values)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,119 +80,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenarios", help="inspect the scenario registry")
-    scenario_sub = p.add_subparsers(dest="scenarios_command", required=True)
+    scenario_sub = p.add_subparsers(dest="subcommand", required=True)
     p = scenario_sub.add_parser("list", help="list registered scenarios")
     p.add_argument("--verbose", action="store_true",
                    help="also print each scenario's knob summary")
 
-    p = sub.add_parser("pipeline", help="run the staged scenario pipeline")
-    pipeline_sub = p.add_subparsers(dest="pipeline_command", required=True)
-    p = pipeline_sub.add_parser(
-        "run",
-        help="run collect→scale→train→calibrate→evaluate→snapshot "
-             "through the artifact cache",
+    runs = {}
+    for command, command_help, run_help, scenario in (
+        ("pipeline", "run the staged scenario pipeline",
+         "run collect→scale→train→calibrate→evaluate→snapshot through the "
+         "artifact cache", "paper"),
+        ("lifecycle", "continual-learning lifecycle over a drift scenario",
+         "replay the scenario's drift trace (ingest -> update -> "
+         "recalibrate -> swap) and report coverage over time",
+         "drifting-fleet"),
+        ("schedule", "event-driven fleet scheduling over a scenario",
+         "simulate the scenario's job stream (placement on batched "
+         "budgets, migration, online recalibration) and report "
+         "violations/utilization per epoch", "schedule"),
+    ):
+        p = sub.add_parser(command, help=command_help)
+        p = p.add_subparsers(dest="subcommand", required=True).add_parser(
+            "run", help=run_help
+        )
+        _add_scenario_arguments(p, scenario)
+        p.add_argument("--assert-warm", action="store_true",
+                       help="exit 1 unless every stage was a cache hit "
+                            "(CI cache validation)")
+        runs[command] = p
+    runs["pipeline"].add_argument(
+        "--no-store", action="store_true",
+        help="disable caching: compute fresh, persist nothing",
     )
-    p.add_argument("--scenario", default="paper",
-                   help="registry name (see `repro scenarios list`)")
-    p.add_argument("--store", default=".repro-cache",
-                   help="artifact-store root (content-addressed stage cache)")
-    p.add_argument("--no-store", action="store_true",
-                   help="disable caching: compute fresh, persist nothing")
-    p.add_argument("--force", action="store_true",
-                   help="recompute every stage even on cache hits")
-    p.add_argument("--assert-warm", action="store_true",
-                   help="exit 1 unless every stage was a cache hit "
-                        "(CI cache validation)")
-    p.add_argument("--workloads", type=int, default=None,
-                   help="override the scenario's workload count")
-    p.add_argument("--devices", type=int, default=None)
-    p.add_argument("--runtimes", type=int, default=None)
-    p.add_argument("--sets-per-degree", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="override the scenario's training steps")
-    p.add_argument("--margin", default=None, choices=MARGIN_MODES,
-                   help="conformal margin mode override "
-                        "(naive/weighted/mnar)")
-
-    p = sub.add_parser(
-        "lifecycle",
-        help="continual-learning lifecycle over a drift scenario",
+    runs["pipeline"].add_argument(
+        "--force", action="store_true",
+        help="recompute every stage even on cache hits",
     )
-    lifecycle_sub = p.add_subparsers(dest="lifecycle_command", required=True)
-    p = lifecycle_sub.add_parser(
-        "run",
-        help="replay the scenario's drift trace "
-             "(ingest -> update -> recalibrate -> swap) and report "
-             "coverage over time",
-    )
-    p.add_argument("--scenario", default="drifting-fleet",
-                   help="a drift-enabled registry scenario")
-    p.add_argument("--store", default=".repro-cache",
-                   help="artifact store holding the trained snapshot "
-                        "(run `repro pipeline run` first)")
-    p.add_argument("--assert-warm", action="store_true",
-                   help="exit 1 unless every lifecycle stage was a cache "
-                        "hit (CI cache validation)")
-    p.add_argument("--workloads", type=int, default=None,
-                   help="override the scenario's workload count "
-                        "(must match the pipeline run that trained it)")
-    p.add_argument("--devices", type=int, default=None)
-    p.add_argument("--runtimes", type=int, default=None)
-    p.add_argument("--sets-per-degree", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--events-per-phase", type=int, default=None,
-                   help="override the drift stream's per-phase volume")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="events per lifecycle tick")
-    p.add_argument("--update-steps", type=int, default=None,
-                   help="warm-start gradient steps per update burst")
-    p.add_argument("--margin", default=None, choices=MARGIN_MODES,
-                   help="conformal margin mode override (weighted = "
-                        "exponential downweighting instead of hard resets)")
-
-    p = sub.add_parser(
-        "schedule",
-        help="event-driven fleet scheduling over a scenario",
-    )
-    schedule_sub = p.add_subparsers(dest="schedule_command", required=True)
-    p = schedule_sub.add_parser(
-        "run",
-        help="simulate the scenario's job stream (placement on batched "
-             "budgets, migration, online recalibration) and report "
-             "violations/utilization per epoch",
-    )
-    p.add_argument("--scenario", default="schedule",
-                   help="a scheduling-enabled registry scenario")
-    p.add_argument("--store", default=".repro-cache",
-                   help="artifact store holding the trained snapshot "
-                        "(run `repro pipeline run` first)")
-    p.add_argument("--assert-warm", action="store_true",
-                   help="exit 1 unless every stage was a cache hit "
-                        "(CI cache validation)")
-    p.add_argument("--workloads", type=int, default=None,
-                   help="override the scenario's workload count "
-                        "(must match the pipeline run that trained it)")
-    p.add_argument("--devices", type=int, default=None)
-    p.add_argument("--runtimes", type=int, default=None)
-    p.add_argument("--sets-per-degree", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--policy", default=None,
-                   help="placement policy override "
-                        "(greedy/flow/admission/random/utilization)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="scheduling epochs to simulate")
-    p.add_argument("--jobs-per-epoch", type=int, default=None)
-    p.add_argument("--warmup-events", type=int, default=None,
-                   help="world-calibration window size")
-    p.add_argument("--margin", default=None, choices=MARGIN_MODES,
-                   help="conformal margin mode for the scheduler's live "
-                        "recalibration")
 
     p = sub.add_parser(
         "sweep",
         help="parallel scenario sweeps over the artifact store",
     )
-    sweep_sub = p.add_subparsers(dest="sweep_command", required=True)
+    sweep_sub = p.add_subparsers(dest="subcommand", required=True)
     p = sweep_sub.add_parser(
         "run",
         help="expand a grid (scenarios x seeds x conformal modes x "
@@ -229,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="inspect and maintain a content-addressed artifact store",
     )
-    store_sub = p.add_subparsers(dest="store_command", required=True)
+    store_sub = p.add_subparsers(dest="subcommand", required=True)
     p = store_sub.add_parser(
         "ls", help="list artifacts per stage (committed and partial)"
     )
@@ -242,56 +182,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=".repro-cache",
                    help="artifact-store root")
 
-    p = sub.add_parser("collect", help="run the simulated collection campaign")
-    p.add_argument("output", help="output .npz dataset path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workloads", type=int, default=None,
-                   help="subsample the 249-workload population")
-    p.add_argument("--devices", type=int, default=None)
-    p.add_argument("--runtimes", type=int, default=None)
-    p.add_argument("--sets-per-degree", type=int, default=250)
-
-    p = sub.add_parser("train", help="train Pitot on a saved dataset")
-    p.add_argument("dataset", help=".npz dataset from `collect`")
-    p.add_argument("output", help="output .npz model path")
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="training fraction (rest is held-out test)")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--hidden", type=int, nargs="+", default=[128, 128])
-    p.add_argument("--embedding-dim", type=int, default=32)
-    p.add_argument("--quantiles", action="store_true",
-                   help="train the multi-quantile (bound-predicting) model")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("evaluate", help="evaluate a saved model")
-    p.add_argument("model", help=".npz model from `train`")
-    p.add_argument("dataset", help=".npz dataset")
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="must match the `train` split to keep test honest")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="also report conformal bound quality at this rate")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("predict", help="predict one runtime")
-    p.add_argument("model", help=".npz model from `train`")
+    p = sub.add_parser(
+        "predict", help="predict one runtime from a trained scenario"
+    )
+    _add_scenario_arguments(p, "paper")
     p.add_argument("--workload", type=int, required=True)
     p.add_argument("--platform", type=int, required=True)
     p.add_argument("--interferers", type=int, nargs="*", default=[])
 
     p = sub.add_parser(
         "serve",
-        help="serve calibrated runtime budgets for a stream of queries",
+        help="serve a trained scenario's calibrated runtime budgets "
+             "(its epsilons) for a stream of queries",
     )
-    p.add_argument("model", help=".npz model from `train`")
-    p.add_argument("dataset", help=".npz dataset (calibration source)")
+    _add_scenario_arguments(p, "paper")
     p.add_argument("--queries", default=None,
                    help="query file, one 'workload platform [co-runners...]' "
                         "per line (default: stdin)")
-    p.add_argument("--epsilon", type=float, nargs="+", default=[0.05],
-                   help="miscoverage rates to calibrate and serve")
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="must match the `train` split to keep bounds honest")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1,
                    help="serve through N worker processes over one "
                         "shared-memory snapshot (1 = in-process)")
@@ -303,16 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-serve",
-        help="benchmark serving throughput (cold vs snapshot vs cached)",
+        help="benchmark serving throughput (cold vs snapshot vs cached) "
+             "at a trained scenario's first epsilon",
     )
-    p.add_argument("model", help=".npz model from `train`")
-    p.add_argument("dataset", help=".npz dataset")
+    _add_scenario_arguments(p, "paper")
     p.add_argument("--n-queries", type=int, default=10_000)
     p.add_argument("--cold-queries", type=int, default=200,
                    help="cap on per-call queries timed for the cold path")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled queries and the arrival trace")
     p.add_argument("--open-loop", action="store_true",
                    help="drive a live sharded service with an open-loop "
                         "arrival trace and report tail latencies instead "
@@ -344,6 +250,66 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
+# Shared scenario plumbing
+# ----------------------------------------------------------------------
+def _parse_sets(items: list[str]) -> dict[str, object]:
+    """``--set KEY=VALUE`` items as knobs: JSON values, else raw strings."""
+    overrides: dict[str, object] = {}
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ValueError(f"--set needs KEY=VALUE, got {item!r}")
+        try:
+            overrides[key] = json.loads(raw)
+        except ValueError:
+            overrides[key] = raw
+    return overrides
+
+
+def _spec(args) -> ScenarioSpec | None:
+    """The command's scenario with its ``--set`` knobs applied; ``None``
+    (after printing why) on an unknown scenario or a rejected knob."""
+    try:
+        return get_scenario(args.scenario).scaled(**_parse_sets(args.overrides))
+    except (KeyError, ValueError, TypeError) as exc:
+        # Unknown scenario or knob, a value the spec rejects (e.g. a
+        # device count on a synthetic fleet), or one of the wrong type
+        # for its validation (e.g. steps=abc).
+        print(exc.args[0], file=sys.stderr)
+        return None
+
+
+def _has_stages(spec: ScenarioSpec, args, stages: tuple[str, ...]) -> bool:
+    """Whether ``args.store`` holds ``spec``'s ``stages``; if not, print
+    which are missing and the command that trains them."""
+    store = ArtifactStore(args.store)
+    keys = pipeline_stage_keys(spec)
+    missing = [stage for stage in stages if not store.has(stage, keys[stage])]
+    if missing:
+        hint = " ".join(
+            ["repro pipeline run --scenario", shlex.quote(spec.name),
+             "--store", shlex.quote(args.store)]
+            + [f"--set {shlex.quote(item)}" for item in args.overrides]
+        )
+        print(
+            f"no trained snapshot for scenario {spec.name!r} in store "
+            f"{args.store!r} (missing stage(s): {', '.join(missing)}).\n"
+            f"Train one first:\n  {hint}",
+            file=sys.stderr,
+        )
+    return not missing
+
+
+def _served(args):
+    """The warm pipeline result a serving command reads; ``None`` (after
+    printing why) when the spec is rejected or not fully trained."""
+    spec = _spec(args)
+    if spec is None or not _has_stages(spec, args, _SERVABLE):
+        return None
+    return run_pipeline(spec, store=args.store)
+
+
+# ----------------------------------------------------------------------
 # Scenario / pipeline commands
 # ----------------------------------------------------------------------
 def _cmd_scenarios_list(args) -> int:
@@ -355,20 +321,8 @@ def _cmd_scenarios_list(args) -> int:
 
 
 def _cmd_pipeline_run(args) -> int:
-    try:
-        spec = get_scenario(args.scenario)
-        spec = spec.scaled(
-            n_workloads=args.workloads,
-            n_devices=args.devices,
-            n_runtimes=args.runtimes,
-            sets_per_degree=args.sets_per_degree,
-            steps=args.steps,
-            margin=args.margin,
-        )
-    except (KeyError, ValueError) as exc:
-        # Unknown scenario, or an override the scenario rejects (e.g.
-        # --devices on a synthetic fleet).
-        print(exc.args[0], file=sys.stderr)
+    spec = _spec(args)
+    if spec is None:
         return 2
     store = None if args.no_store else args.store
     start = time.perf_counter()
@@ -396,20 +350,8 @@ def _cmd_pipeline_run(args) -> int:
 
 
 def _cmd_lifecycle_run(args) -> int:
-    try:
-        spec = get_scenario(args.scenario).scaled(
-            n_workloads=args.workloads,
-            n_devices=args.devices,
-            n_runtimes=args.runtimes,
-            sets_per_degree=args.sets_per_degree,
-            steps=args.steps,
-            events_per_phase=args.events_per_phase,
-            chunk=args.chunk,
-            update_steps=args.update_steps,
-            margin=args.margin,
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0], file=sys.stderr)
+    spec = _spec(args)
+    if spec is None:
         return 2
     if not spec.drift.enabled:
         print(
@@ -419,24 +361,11 @@ def _cmd_lifecycle_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    store = ArtifactStore(args.store)
-    keys = pipeline_stage_keys(spec)
-    missing = [
-        stage for stage in ("collect", "scale", "train", "calibrate")
-        if not store.has(stage, keys[stage])
-    ]
-    if missing:
-        print(
-            f"no trained snapshot for scenario {spec.name!r} in store "
-            f"{args.store!r} (missing stage(s): {', '.join(missing)}).\n"
-            f"Train one first:\n"
-            f"  repro pipeline run --scenario {spec.name} --store {args.store}",
-            file=sys.stderr,
-        )
+    if not _has_stages(spec, args, _TRAINED):
         return 2
 
     start = time.perf_counter()
-    result = run_pipeline(spec, store=store, stop_after="recalibrate")
+    result = run_pipeline(spec, store=args.store, stop_after="recalibrate")
     elapsed = time.perf_counter() - start
     epsilon = spec.conformal.epsilons[0]
 
@@ -483,21 +412,8 @@ def _cmd_lifecycle_run(args) -> int:
 def _cmd_schedule_run(args) -> int:
     from .eval.reporting import format_schedule_table, percent
 
-    try:
-        spec = get_scenario(args.scenario).scaled(
-            n_workloads=args.workloads,
-            n_devices=args.devices,
-            n_runtimes=args.runtimes,
-            sets_per_degree=args.sets_per_degree,
-            steps=args.steps,
-            policy=args.policy,
-            epochs=args.epochs,
-            jobs_per_epoch=args.jobs_per_epoch,
-            warmup_events=args.warmup_events,
-            margin=args.margin,
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0], file=sys.stderr)
+    spec = _spec(args)
+    if spec is None:
         return 2
     if not spec.scheduling.enabled:
         print(
@@ -507,25 +423,12 @@ def _cmd_schedule_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    store = ArtifactStore(args.store)
-    keys = pipeline_stage_keys(spec)
-    missing = [
-        stage for stage in ("collect", "scale", "train", "calibrate")
-        if not store.has(stage, keys[stage])
-    ]
-    if missing:
-        print(
-            f"no trained snapshot for scenario {spec.name!r} in store "
-            f"{args.store!r} (missing stage(s): {', '.join(missing)}).\n"
-            f"Train one first:\n"
-            f"  repro pipeline run --scenario {spec.name} --store {args.store}",
-            file=sys.stderr,
-        )
+    if not _has_stages(spec, args, _TRAINED):
         return 2
 
     start = time.perf_counter()
     result = run_pipeline(
-        spec, store=store, stop_after="simulate", needed_only=True
+        spec, store=args.store, stop_after="simulate", needed_only=True
     )
     elapsed = time.perf_counter() - start
     report = result.schedule
@@ -573,8 +476,6 @@ def _cmd_schedule_run(args) -> int:
 # Sweep / store commands
 # ----------------------------------------------------------------------
 def _cmd_sweep_run(args) -> int:
-    import json
-
     from .eval.reporting import format_sweep_table
     from .pipeline.stages import stage_closure
     from .scenarios.grid import parse_grid
@@ -583,7 +484,7 @@ def _cmd_sweep_run(args) -> int:
     payload: dict = {}
     if args.grid is not None:
         try:
-            payload = json.loads(open(args.grid).read())
+            payload = json.loads(Path(args.grid).read_text())
         except (OSError, ValueError) as exc:
             print(f"cannot read grid {args.grid!r}: {exc}", file=sys.stderr)
             return 2
@@ -592,19 +493,11 @@ def _cmd_sweep_run(args) -> int:
             payload[axis] = getattr(args, axis)
     if args.stop_after is not None:
         payload["stop_after"] = args.stop_after
-    if args.overrides:
-        overrides = dict(payload.get("overrides") or {})
-        for item in args.overrides:
-            key, sep, raw = item.partition("=")
-            if not sep:
-                print(f"--set needs KEY=VALUE, got {item!r}", file=sys.stderr)
-                return 2
-            try:
-                overrides[key] = json.loads(raw)
-            except ValueError:
-                overrides[key] = raw
-        payload["overrides"] = overrides
     try:
+        if args.overrides:
+            overrides = dict(payload.get("overrides") or {})
+            overrides.update(_parse_sets(args.overrides))
+            payload["overrides"] = overrides
         grid = parse_grid(payload)
         plan = build_plan(grid)
     except (KeyError, ValueError) as exc:
@@ -678,107 +571,25 @@ def _cmd_store_gc(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# One-off stage commands (thin wrappers over the pipeline stages)
+# Serving commands (read a trained scenario's committed artifacts)
 # ----------------------------------------------------------------------
-def _paper_split(dataset, fraction: float, seed: int,
-                 epsilons: tuple[float, ...] | None = None):
-    """The paper scenario at a caller's fraction/seed, plus its split.
-
-    The one place the artifact-file commands (``evaluate``/``serve``/
-    ``bench-serve``) derive their partition policy, so they cannot drift
-    apart from each other or from ``train``.
-    """
-    spec = get_scenario("paper").scaled(
-        train_fraction=fraction, epsilons=epsilons
-    ).with_seeds(split=seed)
-    return spec, make_scenario_split(spec, dataset)
-
-
-def _cmd_collect(args) -> int:
-    spec = get_scenario("paper").scaled(
-        n_workloads=args.workloads,
-        n_devices=args.devices,
-        n_runtimes=args.runtimes,
-        sets_per_degree=args.sets_per_degree,
-    ).with_seeds(collect=args.seed)
-    dataset = collect_stage(spec)
-    dataset.save(args.output)
-    summary = dataset.summary()
-    for key, value in summary.items():
-        print(f"{key}: {value:,}")
-    print(f"saved to {args.output}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    dataset = RuntimeDataset.load(args.dataset)
-    # scaled() treats None as "keep the scenario default", so the
-    # quantile knob is only passed when the flag actually sets it (the
-    # paper spec is non-quantile by default).
-    quantile_knob = {"quantiles": PAPER_QUANTILES} if args.quantiles else {}
-    spec = get_scenario("paper").scaled(
-        train_fraction=args.fraction,
-        steps=args.steps,
-        hidden=tuple(args.hidden),
-        embedding_dim=args.embedding_dim,
-        **quantile_knob,
-    ).with_seeds(split=args.seed, train=args.seed)
-    split = make_scenario_split(spec, dataset)
-    result = train_stage(spec, split)
-    save_model(result.model, args.output)
-    print(f"trained {args.steps} steps; best val loss "
-          f"{result.best_val_loss:.5f} @ step {result.best_step}")
-    print(f"saved to {args.output}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    model = load_model(args.model)
-    dataset = RuntimeDataset.load(args.dataset)
-    spec, split = _paper_split(
-        dataset, args.fraction, args.seed,
-        epsilons=None if args.epsilon is None else (args.epsilon,),
-    )
-    test = split.test
-    pred = model.predict_runtime(test.w_idx, test.p_idx, test.interferers)
-    iso = test.isolation_mask()
-    print(f"test rows: {test.n_observations:,}")
-    print(f"MAPE without interference: {mape(pred[iso], test.runtime[iso]):.2%}")
-    print(f"MAPE with interference:    {mape(pred[~iso], test.runtime[~iso]):.2%}")
-
-    if args.epsilon is not None:
-        cp = calibrate_stage(spec, model, split, snapshot_stage(model))
-        bound = cp.predict_bound_dataset(test, args.epsilon)
-        print(f"eps={args.epsilon}: coverage "
-              f"{coverage(bound, test.runtime):.3f}, margin "
-              f"{overprovision_margin(bound, test.runtime):.2%}")
-    return 0
-
-
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
+    result = _served(args)
+    if result is None:
+        return 2
+    service = result.service()
     try:
         query = BoundQuery.from_rows(
-            [(args.workload, args.platform, args.interferers or ())], model
+            [(args.workload, args.platform, args.interferers or ())], service
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    runtime = model.predict_runtime(
+    runtime = service.predict_runtime(
         query.w_idx, query.p_idx, query.interferers
     )[0]
     print(f"predicted runtime: {runtime:.6f} s")
     return 0
-
-
-def _calibrated_service(args, epsilons: tuple[float, ...]) -> PredictionService:
-    """Load model + dataset, calibrate, and wrap for serving."""
-    model = load_model(args.model)
-    dataset = RuntimeDataset.load(args.dataset)
-    _, split = _paper_split(dataset, args.fraction, args.seed)
-    return PredictionService.from_model(
-        model, split.calibration, epsilons=epsilons
-    )
 
 
 def _parse_query_line(line: str):
@@ -832,13 +643,6 @@ def _print_bounds(query: BoundQuery, epsilons, bounds: np.ndarray) -> None:
               f"co={co_text} {budgets}")
 
 
-def _check_epsilons(epsilons) -> bool:
-    bad = [eps for eps in epsilons if not 0.0 < eps < 1.0]
-    if bad:
-        print(f"epsilon must be in (0, 1), got {bad}", file=sys.stderr)
-    return not bad
-
-
 def _print_serving_stats(stats: dict, generation: int) -> None:
     """The shared ``serve`` epilogue: cache, swap, and topology counters."""
     print(f"cache: {stats['cache_hits']} hit(s) / {stats['cache_misses']} "
@@ -851,15 +655,16 @@ def _print_serving_stats(stats: dict, generation: int) -> None:
 
 
 def _cmd_serve(args) -> int:
-    epsilons = tuple(args.epsilon)
-    if not _check_epsilons(epsilons):
-        return 2
     if args.shards < 1 or args.queue_depth < 1:
         print("--shards and --queue-depth must be >= 1", file=sys.stderr)
         return 2
+    result = _served(args)
+    if result is None:
+        return 2
+    epsilons = result.spec.conformal.epsilons
     if args.shards > 1:
-        return _cmd_serve_sharded(args, epsilons)
-    service = _calibrated_service(args, epsilons)
+        return _cmd_serve_sharded(args, result, epsilons)
+    service = result.service()
     query = _read_queries(args, service)
     if query is None:
         return 2
@@ -875,17 +680,11 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_sharded(args, epsilons: tuple[float, ...]) -> int:
+def _cmd_serve_sharded(args, result, epsilons: tuple[float, ...]) -> int:
     """``serve --shards N``: answer the stream through worker processes
     sharing one read-only shared-memory snapshot."""
-    model = load_model(args.model)
-    dataset = RuntimeDataset.load(args.dataset)
-    spec, split = _paper_split(
-        dataset, args.fraction, args.seed, epsilons=epsilons
-    )
-    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
     service = ShardedPredictionService.from_predictor(
-        predictor,
+        result.predictor,
         n_shards=args.shards,
         queue_depth=args.queue_depth,
         start_method=args.start_method,
@@ -912,13 +711,16 @@ def _cmd_serve_sharded(args, epsilons: tuple[float, ...]) -> int:
     return 0 if audit["leaked"] == 0 else 1
 
 
-def _cmd_bench_serve_open_loop(args, epsilon: float) -> int:
+def _cmd_bench_serve_open_loop(args) -> int:
     """``bench-serve --open-loop``: wall-clock tail latencies of a live
     sharded service under scheduled (coordinated-omission-free) load."""
     from .serving.loadgen import OpenLoopConfig, drive_open_loop, generate_trace
 
     if args.shards < 1 or args.queue_depth < 1:
         print("--shards and --queue-depth must be >= 1", file=sys.stderr)
+        return 2
+    result = _served(args)
+    if result is None:
         return 2
     try:
         config = OpenLoopConfig(
@@ -927,26 +729,22 @@ def _cmd_bench_serve_open_loop(args, epsilon: float) -> int:
             seed=args.seed,
             zipf_s=args.zipf,
             burst_multiplier=args.burst,
-            epsilon=epsilon,
+            epsilon=result.spec.conformal.epsilons[0],
         )
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    model = load_model(args.model)
-    dataset = RuntimeDataset.load(args.dataset)
-    spec, split = _paper_split(
-        dataset, args.fraction, args.seed, epsilons=(epsilon,)
+    trace = generate_trace(
+        config, result.model.n_workloads, result.model.n_platforms
     )
-    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
-    trace = generate_trace(config, model.n_workloads, model.n_platforms)
     service = ShardedPredictionService.from_predictor(
-        predictor,
+        result.predictor,
         n_shards=args.shards,
         queue_depth=args.queue_depth,
         start_method=args.start_method,
     )
     try:
-        result = drive_open_loop(service, trace)
+        run = drive_open_loop(service, trace)
         stats = service.collect_stats()
         generation = service.generation
     finally:
@@ -955,15 +753,15 @@ def _cmd_bench_serve_open_loop(args, epsilon: float) -> int:
     def ms(value: float) -> str:
         return "n/a" if value != value else f"{1000.0 * value:.2f} ms"
 
-    pct = result.percentiles()
-    print(f"open loop: {result.offered} queries over {config.duration:g}s "
+    pct = run.percentiles()
+    print(f"open loop: {run.offered} queries over {config.duration:g}s "
           f"({trace.offered_rate:,.0f} q/s offered, zipf_s={args.zipf:g}, "
           f"burst={args.burst:g}x)")
-    print(f"completed {result.completed}, dropped {result.dropped}, "
-          f"rejections {result.rejections} "
-          f"({100.0 * result.reject_rate:.1f}% of offered)")
-    print(f"throughput: {result.throughput:,.0f} q/s over "
-          f"{result.makespan:.2f}s makespan")
+    print(f"completed {run.completed}, dropped {run.dropped}, "
+          f"rejections {run.rejections} "
+          f"({100.0 * run.reject_rate:.1f}% of offered)")
+    print(f"throughput: {run.throughput:,.0f} q/s over "
+          f"{run.makespan:.2f}s makespan")
     print(f"latency from scheduled arrival: p50 {ms(pct['p50'])}, "
           f"p99 {ms(pct['p99'])}, p999 {ms(pct['p999'])}")
     _print_serving_stats(stats.as_dict(), generation)
@@ -973,23 +771,19 @@ def _cmd_bench_serve_open_loop(args, epsilon: float) -> int:
 
 
 def _cmd_bench_serve(args) -> int:
-    epsilon = float(args.epsilon)
-    if not _check_epsilons((epsilon,)):
-        return 2
     if args.open_loop:
-        return _cmd_bench_serve_open_loop(args, epsilon)
+        return _cmd_bench_serve_open_loop(args)
     if args.n_queries < 1 or args.cold_queries < 1:
         print("--n-queries and --cold-queries must be >= 1", file=sys.stderr)
         return 2
-    model = load_model(args.model)
-    dataset = RuntimeDataset.load(args.dataset)
-    spec, split = _paper_split(
-        dataset, args.fraction, args.seed, epsilons=(epsilon,)
-    )
-    predictor = calibrate_stage(spec, model, split, snapshot_stage(model))
+    result = _served(args)
+    if result is None:
+        return 2
+    epsilon = result.spec.conformal.epsilons[0]
+    predictor = result.predictor
 
     rng = np.random.default_rng(args.seed)
-    test = split.test
+    test = result.split.test
     rows = rng.integers(0, test.n_observations, size=args.n_queries)
     w, p, k = test.w_idx[rows], test.p_idx[rows], test.interferers[rows]
 
@@ -1051,32 +845,27 @@ def _cmd_bench_serve(args) -> int:
     return 0
 
 
+#: ``command [subcommand]`` → handler.
+_HANDLERS = {
+    "scenarios list": _cmd_scenarios_list,
+    "pipeline run": _cmd_pipeline_run,
+    "lifecycle run": _cmd_lifecycle_run,
+    "schedule run": _cmd_schedule_run,
+    "sweep run": _cmd_sweep_run,
+    "store ls": _cmd_store_ls,
+    "store gc": _cmd_store_gc,
+    "predict": _cmd_predict,
+    "serve": _cmd_serve,
+    "bench-serve": _cmd_bench_serve,
+    "lint": _run_lint,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "scenarios":
-        return _cmd_scenarios_list(args)
-    if args.command == "pipeline":
-        return _cmd_pipeline_run(args)
-    if args.command == "lifecycle":
-        return _cmd_lifecycle_run(args)
-    if args.command == "schedule":
-        return _cmd_schedule_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep_run(args)
-    if args.command == "store":
-        return _cmd_store_ls(args) if args.store_command == "ls" \
-            else _cmd_store_gc(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    handler = {
-        "collect": _cmd_collect,
-        "train": _cmd_train,
-        "evaluate": _cmd_evaluate,
-        "predict": _cmd_predict,
-        "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
-    }[args.command]
-    return handler(args)
+    subcommand = getattr(args, "subcommand", None)
+    name = f"{args.command} {subcommand}" if subcommand else args.command
+    return _HANDLERS[name](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -48,10 +48,10 @@ stages it consumes; :func:`run_pipeline` keys every stage's artifact on
 exactly that (see :mod:`repro.pipeline.artifacts`), so a warm re-run
 executes zero stages and a spec edit re-runs only the affected suffix.
 
-The stage functions are plain and public — the CLI calls them directly
-for its one-off ``collect``/``train``/``evaluate`` commands — and every
-one is deterministic in (spec, inputs): the cached and freshly-computed
-paths are bit-identical.
+The stage functions are plain and public — tests and benchmarks call
+them directly; every CLI command goes through :func:`run_pipeline` —
+and every one is deterministic in (spec, inputs): the cached and
+freshly-computed paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -1128,8 +1128,8 @@ def run_pipeline(
         every stage computes fresh and nothing is persisted.
     stop_after:
         Last stage to run (``"snapshot"`` = the full DAG). Earlier
-        stops leave later :class:`PipelineResult` fields unset —
-        ``collect``-only runs are how the CLI implements ``collect``.
+        stops leave later :class:`PipelineResult` fields unset (``repro
+        sweep run --stop-after collect`` collects only).
     force:
         Recompute every stage even on a cache hit (artifacts are
         rewritten, so downstream consumers see fresh keys' content).

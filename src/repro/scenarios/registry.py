@@ -94,7 +94,7 @@ def iter_scenarios() -> Iterator[ScenarioSpec]:
 
 @scenario
 def paper() -> ScenarioSpec:
-    """The Sec 5.1 campaign, bit-compatible with the historical CLI path."""
+    """The Sec 5.1 campaign at the paper's scale and architecture."""
     return ScenarioSpec(
         name="paper",
         description=(

@@ -406,9 +406,10 @@ class ScenarioSpec:
     def scaled(self, **overrides: object) -> "ScenarioSpec":
         """Replace leaf knobs by name, routing each to its component.
 
-        ``None`` values are ignored (convenient for optional CLI flags:
-        an unset ``--workloads`` keeps the scenario's own fleet size).
-        Unknown names raise. Example::
+        ``None`` values are ignored (the knob keeps the scenario's own
+        value). A list becomes a tuple, the form every sequence knob
+        holds and a stored model reloads as (JSON ``--set`` values arrive
+        as lists). Unknown names raise. Example::
 
             get_scenario("paper").scaled(n_workloads=40, steps=400)
         """
@@ -422,6 +423,8 @@ class ScenarioSpec:
                     f"unknown scenario knob {key!r}; "
                     f"known: {sorted(_SCALED_FIELDS)}"
                 )
+            if isinstance(value, list):
+                value = tuple(value)
             updates.setdefault(component, {})[key] = value
         replaced = {
             component: replace(getattr(self, component), **fields)

@@ -280,28 +280,6 @@ class PredictionService:
             cache_size=cache_size,
         )
 
-    @classmethod
-    def from_model(
-        cls,
-        model: PitotModel,
-        calibration,
-        epsilons: tuple[float, ...] = (0.1, 0.05, 0.01),
-        strategy: str | None = None,
-        use_pools: bool = True,
-    ) -> "PredictionService":
-        """Calibrate ``model`` on ``calibration`` and wrap it for serving.
-
-        ``strategy`` defaults to ``"pitot"`` for quantile models and
-        ``"split"`` for point predictors (how the paper calibrates each).
-        """
-        quantiles = model.config.quantiles
-        if strategy is None:
-            strategy = "pitot" if quantiles else "split"
-        predictor = ConformalRuntimePredictor(
-            model, quantiles=quantiles, strategy=strategy, use_pools=use_pools
-        ).calibrate(calibration, epsilons=epsilons)
-        return cls.from_predictor(predictor)
-
     # ------------------------------------------------------------------
     # State access (delegates to the current generation)
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import PAPER_QUANTILES
 from repro.pipeline import (
     PIPELINE_STAGES,
     ArtifactStore,
@@ -161,6 +162,19 @@ class TestCacheKeying:
         # The rewritten artifact is healthy again: next run is fully warm.
         warm = run_pipeline(smoke_spec, store=store)
         assert warm.executed == ()
+
+    def test_list_valued_knobs_reload_warm(self, tmp_path):
+        """Sequence knobs given as lists (how ``--set`` JSON arrives)
+        train a model whose stored config loads back."""
+        spec = get_scenario("smoke").scaled(
+            hidden=[8], quantiles=list(PAPER_QUANTILES), epsilons=[0.1, 0.05]
+        )
+        cold = run_pipeline(spec, store=tmp_path)
+        assert cold.executed == ALL_STAGES
+        warm = run_pipeline(spec, store=tmp_path)
+        assert warm.cached == ALL_STAGES
+        assert warm.model.config.hidden == (8,)
+        assert warm.model.config.quantiles == PAPER_QUANTILES
 
     def test_store_holds_both_variants(self, store_root):
         store = ArtifactStore(store_root)

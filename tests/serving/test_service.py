@@ -252,12 +252,12 @@ class TestQueryValidation:
 
 
 class TestLifecycle:
-    def test_from_model_calibrates(self, trained_pitot_quantile, mini_split):
-        service = PredictionService.from_model(
-            trained_pitot_quantile.model,
-            mini_split.calibration,
-            epsilons=(0.1,),
-        )
+    def test_from_predictor_calibrates(self, trained_pitot_quantile,
+                                       mini_split):
+        predictor = ConformalRuntimePredictor(
+            trained_pitot_quantile.model, quantiles=PAPER_QUANTILES
+        ).calibrate(mini_split.calibration, epsilons=(0.1,))
+        service = PredictionService.from_predictor(predictor)
         assert service.calibrated_epsilons == (0.1,)
         test = mini_split.test
         bounds = service.predict_bound_dataset(test, 0.1)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,31 @@ def test_example_imports_resolve():
                     assert hasattr(module, name), (
                         f"{example.name}: {module_name}.{name} does not exist"
                     )
+
+
+def _documented_commands():
+    """Every ``python -m repro …`` command in the three documents, as
+    argv: backslash continuations joined, cut at the end of its code
+    span or shell chain."""
+    commands = []
+    for document in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = (ROOT / document).read_text().replace("\\\n", " ")
+        for match in re.finditer(r"python -m repro (.*)", text):
+            command = re.split(r"`|&&|\|", match.group(1))[0]
+            commands.append(
+                (document, shlex.split(command, comments=True))
+            )
+    return commands
+
+
+def test_documented_commands_parse():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    commands = _documented_commands()
+    assert commands, "no `python -m repro` command found"
+    for document, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{document}: `repro {shlex.join(argv)}` does not parse")
