@@ -19,6 +19,12 @@ and in the paper regime. The reference is the test oracle in
 ``tests/reference_paths.py``, which also supplies ``forced_plan`` for
 the dense/sparse grid. Absolute steps/sec move with the host; the
 asserted contracts are the within-run ratios.
+
+A third pair guards each side of the Eq. 9 formulation rule
+(``choose_table``): at the paper's population the step scores from one
+pairwise table, at 1000×220 by per-row gathers, and each reports the
+chosen formulation's steps/sec over the other one forced through
+``reference_paths.forced_formulation``.
 """
 
 import gc
@@ -31,7 +37,7 @@ from repro.core import PitotConfig, PitotModel, PitotTrainer, TrainerConfig
 from repro.eval import format_table
 
 from conftest import emit
-from reference_paths import PrimitiveTrainer, forced_plan
+from reference_paths import PrimitiveTrainer, forced_formulation, forced_plan
 
 #: (label, n_workloads, n_platforms) population grid. "paper" is the
 #: published dataset's size; "fleet" is the scale serving is sized for.
@@ -56,6 +62,16 @@ ENGINES = [
     ("engine", PitotTrainer, dict()),
     ("engine_f32", PitotTrainer, dict(dtype="float32")),
 ]
+
+
+#: (label, n_workloads, n_platforms, formulation the size rule picks)
+#: for the Eq. 9 formulation pair (dense steps, paper architecture).
+FORMULATION_POPULATIONS = [
+    ("paper", 249, 220, "table"),
+    ("wide", 1000, 220, "gather"),
+]
+FORMULATION_ROUNDS = 5
+FORMULATION_STEPS = 30
 
 
 def _steps_per_sec(
@@ -179,7 +195,39 @@ def test_training_throughput(benchmark):
         f"reference {paper_ref:.2f} -> engine {paper_eng:.2f} steps/s "
         f"({paper_eng / paper_ref:.2f}x)"
     )
-    emit("training_throughput", table + "\n\n" + engine_table, metrics)
+
+    # Each side of the formulation rule: the step's own choice against
+    # the other formulation forced, over interleaved rounds (median).
+    formulation_rows = []
+    for label, n_workloads, n_platforms, chosen in FORMULATION_POPULATIONS:
+        dataset = synthetic_fleet_dataset(n_workloads, n_platforms, 30000)
+        other = forced_formulation(PitotTrainer, chosen == "gather")
+        ratios = [
+            _steps_per_sec(dataset, sparse=False, steps=FORMULATION_STEPS)
+            / _steps_per_sec(
+                dataset, sparse=False, steps=FORMULATION_STEPS,
+                trainer_cls=other,
+            )
+            for _ in range(FORMULATION_ROUNDS)
+        ]
+        ratio = float(np.median(ratios))
+        metrics[f"{label}_formulation_speedup"] = (ratio, "x")
+        formulation_rows.append([
+            f"{label} ({n_workloads}x{n_platforms})", chosen, f"{ratio:.2f}x"
+        ])
+    formulation_table = format_table(
+        ["population", "chosen", "chosen vs other forced"],
+        formulation_rows,
+        title=(
+            "Eq. 9 formulation (dense steps, median of "
+            f"{FORMULATION_ROUNDS} interleaved rounds)"
+        ),
+    )
+    emit(
+        "training_throughput",
+        table + "\n\n" + engine_table + "\n\n" + formulation_table,
+        metrics,
+    )
     # The tentpole claim: once the population outgrows the batch, the
     # sparse step wins by >=3x. Asserted with headroom against CI noise.
     assert metrics["fleet_speedup"][0] >= 2.0

@@ -10,7 +10,13 @@ from .model import (
 )
 from .scaling import LinearScalingBaseline
 from .serialization import load_model, save_model
-from .trainer import PitotTrainer, TrainingResult, choose_sparse, train_pitot
+from .trainer import (
+    PitotTrainer,
+    TrainingResult,
+    choose_sparse,
+    choose_table,
+    train_pitot,
+)
 
 __all__ = [
     "PitotConfig",
@@ -28,4 +34,5 @@ __all__ = [
     "TrainingResult",
     "train_pitot",
     "choose_sparse",
+    "choose_table",
 ]

@@ -49,6 +49,14 @@ class PitotConfig:
     interference_mode: str = "aware"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hidden, tuple) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0
+            for n in self.hidden
+        ):
+            # () is legal: linear towers.
+            raise ValueError(
+                f"hidden must be a tuple of positive ints, got {self.hidden!r}"
+            )
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
         if self.learned_features < 0:

@@ -45,6 +45,7 @@ __all__ = [
     "EmbeddingSnapshot",
     "SNAPSHOT_CHUNK",
     "SparseBatchPlan",
+    "interference_rows",
     "plan_sparse_batch",
     "standardize_features",
 ]
@@ -119,6 +120,18 @@ def plan_sparse_batch(
     )
 
 
+def interference_rows(
+    VS, interference_mode: str, interferers: np.ndarray | None
+) -> np.ndarray | None:
+    """The batch's ``(B, K)`` interferer matrix when Eq. 9's interference
+    term applies to it, else ``None`` (an interference-blind model, the
+    ``"ignore"`` ablation, no interferers, or only ``-1`` padding)."""
+    if VS is None or interference_mode == "ignore" or interferers is None:
+        return None
+    interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
+    return interferers if (interferers >= 0).any() else None
+
+
 def _forward_batch(
     W,
     P,
@@ -151,13 +164,11 @@ def _forward_batch(
     # formulation materializes (B,K,H,s,r) and is memory-bound).
     base = (Wi @ Pj.reshape(b, r, 1)).reshape(b, heads)  # (B, H)
 
-    if VS is None or interference_mode == "ignore" or interferers is None:
+    interferers = interference_rows(VS, interference_mode, interferers)
+    if interferers is None:
         return base
-    interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
     dt = P.dtype if isinstance(P, np.ndarray) else P.data.dtype
     mask = (interferers >= 0).astype(dt)  # (B, K)
-    if not mask.any():
-        return base
     safe = np.where(interferers >= 0, interferers, 0).ravel()
     k = mask.shape[1]
 
@@ -173,6 +184,73 @@ def _forward_batch(
 
     sus = Wi @ VSj_t  # (B, H, s)
     return base + (sus * act).sum(axis=2)
+
+
+def _forward_table(
+    W: Tensor,
+    P: Tensor,
+    VS: Tensor | None,
+    VG: Tensor | None,
+    w_idx: np.ndarray,
+    p_idx: np.ndarray,
+    interferers: np.ndarray | None,
+    *,
+    heads: int,
+    r: int,
+    s: int,
+    interference_mode: str,
+    activation,
+) -> Tensor:
+    """Eq. 9 residual prediction scored from one pairwise table.
+
+    ``T = W·[P | V_s | V_g]ᵀ`` dots every (workload, head) embedding with
+    every platform vector in one GEMM. Viewed as one row per
+    (workload ``i``, head ``h``, platform ``j``), a row holds ``c = 1 + 2s``
+    entries: ``w_iᵀp_j``, then ``w_iᵀv_s^(t)`` and ``w_iᵀv_g^(t)`` for each
+    type ``t``. One ``take`` picks each batch row's base and susceptibility
+    entries (target rows) and magnitude entries (interferer rows), so the
+    backward pass is that take's one ``bincount`` into ``dT`` plus the
+    GEMM's two. Without an interference term the table is ``W·Pᵀ``.
+
+    Training only: each entry sums its ``r`` products in a different order
+    than :func:`_forward_batch`, so the two agree to rounding, not bitwise
+    (``PitotTrainer`` picks between them with
+    :func:`~repro.core.trainer.choose_table`).
+    """
+    b, n_w, n_p = len(w_idx), W.shape[0], P.shape[0]
+    interferers = interference_rows(VS, interference_mode, interferers)
+    if interferers is None:
+        c, own, platform = 1, 1, P
+    else:
+        c, own = 1 + 2 * s, 1 + s
+        platform = concatenate([P.reshape(n_p, 1, r), VS, VG], axis=1)
+    table = W.reshape(n_w * heads, r) @ platform.reshape(n_p * c, r).T
+    head_offsets = (np.arange(heads) * (n_p * c))[:, None]  # (H, 1)
+
+    def entries(w: np.ndarray, p: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Flat table positions of columns ``cols`` in the rows of
+        workloads ``w`` (any shape) on platforms ``p`` (broadcast to
+        ``w``): shape ``w.shape + (H, len(cols))``."""
+        first = w * (heads * n_p * c) + p * c
+        return first[..., None, None] + (head_offsets + cols)
+
+    # Base and susceptibility entries of each batch row's own workload.
+    target = entries(w_idx, p_idx, np.arange(own))
+    if interferers is None:
+        return table.reshape(-1).take(target.ravel()).reshape(b, heads)
+    k = interferers.shape[1]
+    mask = interferers >= 0
+    magnitude = entries(
+        np.where(mask, interferers, 0), p_idx[:, None], np.arange(own, c)
+    )
+    picked = table.reshape(-1).take(
+        np.concatenate([target.ravel(), magnitude.ravel()])
+    )
+    mine = picked[: target.size].reshape(b, heads, own)
+    mag = picked[target.size :].reshape(b, k, heads, s)
+    mag = mag * Tensor(mask.astype(P.data.dtype).reshape(b, k, 1, 1))
+    act = activation(mag.sum(axis=1))  # (B, H, s)
+    return mine[:, :, 0] + (mine[:, :, 1:] * act).sum(axis=2)
 
 
 def _numpy_activation(config: PitotConfig):
@@ -554,6 +632,33 @@ class PitotModel(Module):
             activation=self._activation,
             gather=lambda a, idx: a.take(idx),
             const=Tensor,
+        )
+
+    def forward_table(
+        self,
+        w_idx: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+        embeddings: tuple,
+    ) -> Tensor:
+        """:meth:`forward` scored from one pairwise table over
+        ``embeddings`` (:func:`_forward_table`); equal to it up to
+        rounding. The training step uses it at small populations."""
+        cfg = self.config
+        W, P, VS, VG = embeddings
+        return _forward_table(
+            W,
+            P,
+            VS,
+            VG,
+            np.asarray(w_idx, dtype=np.intp),
+            np.asarray(p_idx, dtype=np.intp),
+            interferers,
+            heads=cfg.n_heads,
+            r=cfg.embedding_dim,
+            s=cfg.interference_types,
+            interference_mode=cfg.interference_mode,
+            activation=self._activation,
         )
 
     # ------------------------------------------------------------------

@@ -16,8 +16,11 @@ Deviating from App B.3's "compute all embeddings" step (an optimization on
 GPU, a liability on CPU), a step runs *batch-sparse* whenever that pays
 (:func:`choose_sparse`): it forwards only the entity rows its batch
 references through the towers (see
-:func:`repro.core.model.plan_sparse_batch`). Validation runs on the
-tape-free ndarray kernel. Both are row-identical to the dense formulation.
+:func:`repro.core.model.plan_sparse_batch`); that is row-identical to the
+dense formulation. Over those tower rows, a step scores Eq. 9 from one
+pairwise table whenever the table is no larger than the per-row gathers
+(:func:`choose_table`), which agrees with the gather formulation to
+rounding. Validation runs on the tape-free gather kernel serving uses.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ import numpy as np
 from ..cluster.dataset import RuntimeDataset
 from ..nn import AdaMax, Tensor, default_dtype, no_grad, where
 from .config import PitotConfig, TrainerConfig
-from .model import PitotModel, SparseBatchPlan, plan_sparse_batch
+from .model import (
+    PitotModel,
+    SparseBatchPlan,
+    interference_rows,
+    plan_sparse_batch,
+)
 from .scaling import LinearScalingBaseline
 
 __all__ = [
@@ -37,6 +45,7 @@ __all__ = [
     "TrainingResult",
     "train_pitot",
     "choose_sparse",
+    "choose_table",
 ]
 
 #: Auto mode runs a batch-sparse step only when the batch references at
@@ -66,6 +75,32 @@ def choose_sparse(referenced: int, population: int) -> bool:
         referenced <= SPARSE_AUTO_FRACTION * population
         and population - referenced >= SPARSE_MIN_SAVED_ROWS
     )
+
+
+def choose_table(
+    n_workloads: int,
+    n_platforms: int,
+    batch: int,
+    *,
+    heads: int,
+    rank: int,
+    types: int,
+    width: int,
+) -> bool:
+    """Score this step's Eq. 9 from one pairwise table?
+
+    ``n_workloads`` and ``n_platforms`` are the step's tower rows (the
+    population, or a sparse plan's subset). The table
+    ``W·[P | V_s | V_g]ᵀ`` holds ``n_workloads·heads × n_platforms·(1+2s)``
+    entries; the gather formulation materialises
+    ``batch·rank·(heads·(1 + K) + 1 + 2s)`` — each row's target and
+    interferer embeddings and its platform vectors. The table is chosen
+    while it is no larger. ``types`` (s) and ``width`` (K) are 0 for a
+    step without an interference term.
+    """
+    table = n_workloads * heads * n_platforms * (1 + 2 * types)
+    gathered = batch * rank * (heads * (1 + width) + 1 + 2 * types)
+    return table <= gathered
 
 
 @dataclass
@@ -177,9 +212,9 @@ class PitotTrainer:
         then plain-ndarray batch forwards through the same
         ``EmbeddingSnapshot.forward`` serving uses. The loss reuses the
         training-path ``_loss_elementwise`` under ``no_grad`` (same ops,
-        no tape), so evaluation matches training values bitwise. The
-        previous implementation built (and discarded) a full autograd
-        graph for every validation sweep.
+        no tape). It matches a gather-formulation training forward
+        bitwise; where a step scores Eq. 9 from the pairwise table
+        (:func:`choose_table`) the two agree to rounding.
         """
         if ds.n_observations == 0:
             return float("nan")
@@ -263,12 +298,47 @@ class PitotTrainer:
         the batch references, and the gathers scatter gradients back to
         the full tables. It is row-identical to the dense formulation
         (the towers are row-independent), so the choice is made per step
-        from the pruning alone (:func:`choose_sparse`).
+        from the pruning alone (:func:`choose_sparse`). A batch references
+        at least one workload and one platform, so a population where
+        even that could not pay is never planned.
         """
+        population = self.model.n_workloads + self.model.n_platforms
+        if not choose_sparse(2, population):
+            return None
         plan = plan_sparse_batch(w_idx, p_idx, interferers)
         referenced = len(plan.w_rows) + len(plan.p_rows)
-        population = self.model.n_workloads + self.model.n_platforms
         return plan if choose_sparse(referenced, population) else None
+
+    def _table_step(
+        self, embeddings: tuple, batch: int, interferers: np.ndarray | None
+    ) -> bool:
+        """Whether this step scores Eq. 9 from one pairwise table over
+        ``embeddings``' rows (:func:`choose_table`)."""
+        W, P, VS, _ = embeddings
+        cfg = self.model.config
+        active = interference_rows(VS, cfg.interference_mode, interferers)
+        types, width = (
+            (0, 0) if active is None
+            else (cfg.interference_types, active.shape[1])
+        )
+        return choose_table(
+            W.shape[0], P.shape[0], batch, heads=cfg.n_heads,
+            rank=cfg.embedding_dim, types=types, width=width,
+        )
+
+    def _predict_step(
+        self,
+        embeddings: tuple,
+        w_idx: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+    ) -> Tensor:
+        """Eq. 9 for one training batch over the step's tower rows, in the
+        formulation :meth:`_table_step` picks."""
+        model = self.model
+        if self._table_step(embeddings, len(w_idx), interferers):
+            return model.forward_table(w_idx, p_idx, interferers, embeddings)
+        return model.forward(w_idx, p_idx, interferers, embeddings=embeddings)
 
     def _fused_step(
         self,
@@ -282,8 +352,9 @@ class PitotTrainer:
         """Forward + backward for one batch; gradients land in ``p.grad``.
 
         The towers run on the arena-backed fused kernels, over the rows
-        ``plan`` names (``None``: the whole population); the graph is
-        rebuilt every step.
+        ``plan`` names (``None``: the whole population), and Eq. 9 runs in
+        the formulation :meth:`_predict_step` picks; the graph is rebuilt
+        every step.
         """
         model = self.model
         if plan is not None:
@@ -294,7 +365,7 @@ class PitotTrainer:
             interferers = plan.interferers_local
         else:
             embeddings = model.compute_embeddings(fused=True)
-        pred = model.forward(w_idx, p_idx, interferers, embeddings=embeddings)
+        pred = self._predict_step(embeddings, w_idx, p_idx, interferers)
         loss_elem = self._loss_elementwise(pred, targets_b)
         total_loss = (loss_elem * Tensor(coeff[:, None])).sum() * (
             1.0 / model.config.n_heads

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import PAPER_QUANTILES, PitotConfig, TrainerConfig
+from repro.scenarios import get_scenario
 
 
 class TestPitotConfig:
@@ -44,6 +45,13 @@ class TestPitotConfig:
             PitotConfig(interference_activation="swish")
         with pytest.raises(ValueError):
             PitotConfig(quantiles=(0.5, 1.0))
+        for hidden in (8, (0,), (-4, 8), (True, 8), [64, 32], (8.0,)):
+            with pytest.raises(ValueError, match="hidden"):
+                PitotConfig(hidden=hidden)
+        with pytest.raises(ValueError, match="hidden"):
+            get_scenario("smoke").scaled(hidden=8)
+        # Linear towers stay legal.
+        assert PitotConfig(hidden=()).hidden == ()
 
     def test_frozen(self):
         with pytest.raises(Exception):

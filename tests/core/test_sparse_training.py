@@ -130,6 +130,36 @@ class TestSparseEmbeddingsMatchDense:
             ), name
 
 
+class TestPlanSkippedWhenSparseCannotWin:
+    def test_small_population_fit_never_plans(self, monkeypatch):
+        """Below ``SPARSE_MIN_SAVED_ROWS + 2`` entities no batch can save
+        enough tower rows, so ``_plan`` returns dense without running
+        ``plan_sparse_batch``'s two ``np.unique`` calls."""
+        from repro.core import trainer as trainer_module
+        from repro.core.trainer import SPARSE_MIN_SAVED_ROWS
+        from repro.pipeline import collect_stage, make_scenario_split
+        from repro.scenarios import get_scenario
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plan_sparse_batch(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "plan_sparse_batch", counting)
+        spec = get_scenario("smoke").scaled(steps=5)
+        split = make_scenario_split(spec, collect_stage(spec))
+        model = PitotModel(
+            split.train.workload_features,
+            split.train.platform_features,
+            spec.model,
+            np.random.default_rng(0),
+        )
+        assert model.n_workloads + model.n_platforms < SPARSE_MIN_SAVED_ROWS + 2
+        PitotTrainer(model, spec.trainer).fit(split.train, split.calibration)
+        assert calls == []
+
+
 class TestTrainerEquivalence:
     @pytest.mark.parametrize("quantiles", [None, (0.5, 0.9)])
     def test_loss_histories_match(self, mini_split, quantiles):

@@ -7,7 +7,8 @@ time the production path against them.
 
 * :class:`PrimitiveTrainer` — the training step on the primitive autograd
   graph; :func:`forced_plan` pins a trainer to the dense or the sparse
-  tower plan;
+  tower plan, and :func:`forced_formulation` to the pairwise-table or the
+  gather formulation of Eq. 9;
 * :func:`row_by_row_oracle` — a :class:`~repro.orchestration.BudgetOracle`
   issuing one ``predict_bound`` call per row through
   :class:`RowByRowBounds`;
@@ -49,6 +50,7 @@ from repro.orchestration import BudgetOracle, ClusterSimulator, FleetWorld
 __all__ = [
     "PrimitiveTrainer",
     "forced_plan",
+    "forced_formulation",
     "train_with",
     "RowByRowBounds",
     "row_by_row_oracle",
@@ -65,24 +67,22 @@ __all__ = [
 # Training engine
 # ----------------------------------------------------------------------
 # PitotTrainer runs every step through ``_fused_step`` on the plan
-# ``_plan`` picks from the batch; the references override those two seams.
+# ``_plan`` picks from the batch, scoring Eq. 9 in the formulation
+# ``_table_step`` picks; the references override those three seams.
 class PrimitiveTrainer(PitotTrainer):
     """The pre-engine step: the primitive autograd graph, rebuilt every
-    step from unfused layer ops."""
+    step from unfused layer ops. Eq. 9 runs through the production
+    ``_predict_step``, so both trainers make the same formulation choice."""
 
     def _fused_step(self, w_idx, p_idx, interferers, plan, targets_b, coeff):
         model = self.model
         if plan is not None:
             embeddings = model.compute_embeddings_sparse(plan.w_rows, plan.p_rows)
-            pred = model.forward(
-                plan.w_local,
-                plan.p_local,
-                plan.interferers_local,
-                embeddings=embeddings,
-            )
+            w_idx, p_idx = plan.w_local, plan.p_local
+            interferers = plan.interferers_local
         else:
             embeddings = model.compute_embeddings()
-            pred = model.forward(w_idx, p_idx, interferers, embeddings=embeddings)
+        pred = self._predict_step(embeddings, w_idx, p_idx, interferers)
         loss_elem = self._loss_elementwise(pred, targets_b)
         total_loss = (loss_elem * Tensor(coeff[:, None])).sum() * (
             1.0 / model.config.n_heads
@@ -105,6 +105,24 @@ def forced_plan(
 
     mode = "Sparse" if sparse else "Dense"
     return type(f"{mode}{trainer_cls.__name__}", (trainer_cls,), {"_plan": _plan})
+
+
+def forced_formulation(
+    trainer_cls: type[PitotTrainer], table: bool | None
+) -> type[PitotTrainer]:
+    """``trainer_cls`` with every step scoring Eq. 9 from the pairwise
+    table (``True``) or by per-row gathers (``False``); ``None`` keeps the
+    per-step size rule and returns ``trainer_cls`` itself."""
+    if table is None:
+        return trainer_cls
+
+    def _table_step(self, embeddings, batch, interferers):
+        return table
+
+    mode = "Table" if table else "Gather"
+    return type(
+        f"{mode}{trainer_cls.__name__}", (trainer_cls,), {"_table_step": _table_step}
+    )
 
 
 def train_with(

@@ -290,6 +290,8 @@ class TestPipelineCommand:
         ("steps", "--set needs KEY=VALUE, got 'steps'"),
         ("warp=9", "unknown scenario knob 'warp'"),
         ("steps=abc", "not supported"),
+        ("hidden=8", "hidden must be a tuple of positive ints"),
+        ("hidden=[0]", "hidden must be a tuple of positive ints"),
     ])
     def test_bad_set_item_rejected(self, tmp_path, capsys, item, message):
         root = tmp_path / "cache"
